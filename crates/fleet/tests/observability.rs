@@ -82,6 +82,7 @@ fn prometheus_exposition_is_wellformed_and_complete() {
         "larp_selections_total",
         "larp_retrains_total",
         "larp_retrain_us_sum",
+        "larp_retrain_install_us_count",
         "obs_events_recorded_total",
     ] {
         assert!(text.contains(metric), "missing {metric} in exposition");

@@ -22,6 +22,7 @@
 //! | `larp_faults_sanitized_total` | counter | ingestion repairs performed |
 //! | `larp_retrain_us` | histogram | (re)training fit time, µs |
 //! | `larp_retrain_queue_wait_us` | histogram | retrain queue wait, µs (0 inline) |
+//! | `larp_retrain_install_us` | histogram | installing a fitted model, µs |
 //! | `larp_slow_retrains_total` | counter | fits over the slow threshold |
 //!
 //! Hot-path budget: one counter increment per step plus one `Cell`
@@ -86,6 +87,7 @@ pub struct LarpObs {
     sanitized: Counter,
     retrain_us: Histogram,
     retrain_queue_wait_us: Histogram,
+    retrain_install_us: Histogram,
     slow_retrains: Counter,
     /// Fit-time threshold above which a retrain counts as *slow* (emits a
     /// [`EventKind::SlowRetrain`] event and bumps `larp_slow_retrains_total`).
@@ -114,6 +116,7 @@ impl LarpObs {
             sanitized: registry.counter("larp_faults_sanitized_total"),
             retrain_us: registry.histogram("larp_retrain_us"),
             retrain_queue_wait_us: registry.histogram("larp_retrain_queue_wait_us"),
+            retrain_install_us: registry.histogram("larp_retrain_install_us"),
             slow_retrains: registry.counter("larp_slow_retrains_total"),
             slow_retrain_threshold_us: Self::DEFAULT_SLOW_RETRAIN_US,
             events: None,
@@ -158,6 +161,7 @@ impl LarpObs {
             sanitized: self.sanitized.clone(),
             retrain_us: self.retrain_us.clone(),
             retrain_queue_wait_us: self.retrain_queue_wait_us.clone(),
+            retrain_install_us: self.retrain_install_us.clone(),
             slow_retrains: self.slow_retrains.clone(),
             slow_retrain_threshold_us: self.slow_retrain_threshold_us,
         }
@@ -204,11 +208,13 @@ impl LarpObs {
     /// Records one successful (re)train. Queue wait (time the request sat
     /// armed/enqueued before a worker started fitting) and the fit itself are
     /// tracked as separate histograms so a saturated retrain pool is
-    /// distinguishable from genuinely slow fits.
-    pub(crate) fn record_retrain_success(&self, fit_us: u64, queue_wait_us: u64) {
+    /// distinguishable from genuinely slow fits; the install (on the serving
+    /// thread, after the fit) gets a third.
+    pub(crate) fn record_retrain_success(&self, fit_us: u64, queue_wait_us: u64, install_us: u64) {
         self.retrains.inc();
         self.retrain_us.record(fit_us as f64);
         self.retrain_queue_wait_us.record(queue_wait_us as f64);
+        self.retrain_install_us.record(install_us as f64);
         self.emit(EventKind::RetrainSucceeded { duration_us: fit_us });
         if fit_us > self.slow_retrain_threshold_us {
             self.slow_retrains.inc();

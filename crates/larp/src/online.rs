@@ -166,11 +166,13 @@ pub struct OnlineLarp {
     /// Most recent observations (raw scale), bounded by
     /// [`ResilienceConfig::max_history`].
     pub(crate) history: HistoryRing,
-    /// The same observations normalised with the *current* model's train
-    /// coefficients, maintained incrementally (one `ZScore::apply` per push,
-    /// rebuilt wholesale on retrain/restore). Empty while no model is
-    /// trained. This is what lets the serving path skip the per-step
-    /// `apply_slice` pass over the whole history.
+    /// The most recent observations normalised with the *current* model's
+    /// train coefficients, maintained incrementally (one `ZScore::apply` per
+    /// push, rebuilt on retrain/restore). Empty while no model is trained.
+    /// This is what lets the serving path skip the per-step `apply_slice`
+    /// pass over the history. Bounded to [`mirror_cap`] — the longest tail
+    /// any reader looks at — so a rebuild costs the pool's lookback, not the
+    /// history's length.
     pub(crate) norm: HistoryRing,
     /// Incremental mean/variance over the most recent `train_size` samples
     /// (runtime-only diagnostic; rebuilt from history on restore).
@@ -313,11 +315,15 @@ impl OnlineLarp {
                 resilience.max_history
             )));
         }
+        let norm = HistoryRing::new_mode(
+            mirror_cap(&config, resilience.max_history),
+            resilience.f32_history,
+        );
         Ok(Self {
             config,
             qa,
             history: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
-            norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
+            norm,
             rolling: RollingMoments::new(train_size)
                 .expect("train_size validated >= window + 2 above"),
             scratch: Scratch::new(),
@@ -625,6 +631,9 @@ impl OnlineLarp {
         }
         match outcome.model {
             Some(mut model) => {
+                // The install itself (interning, tracker, mirror rebuild) is
+                // timed apart from the fit: it runs on the serving thread.
+                let started = self.obs.is_some().then(Instant::now);
                 if let Some(interner) = &self.interner {
                     model.intern_pca(interner);
                 }
@@ -638,8 +647,12 @@ impl OnlineLarp {
                 self.retrain_pending = false;
                 self.consecutive_retrain_failures = 0;
                 self.generation += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record_retrain_success(outcome.fit_us, outcome.queue_wait_us);
+                if let (Some(obs), Some(started)) = (&self.obs, started) {
+                    obs.record_retrain_success(
+                        outcome.fit_us,
+                        outcome.queue_wait_us,
+                        started.elapsed().as_micros() as u64,
+                    );
                 }
             }
             None => {
@@ -814,30 +827,32 @@ impl OnlineLarp {
     /// Feeds the fallback error tracker one revealed value (normalised into
     /// the model's training units), using the history *before* `value`.
     fn observe_tracker(&mut self, value: f64, norm64: &mut Vec<f64>) {
-        let Self { model, tracker, history, norm, config, .. } = self;
+        let Self { model, tracker, norm, config, .. } = self;
         let Some(model) = model.as_ref() else { return };
         let Some(tracker) = tracker.as_mut() else { return };
-        let upto = history.len() - 1; // `value` is already pushed
+        // The mirror holds the last `min(history, cap)` observations whenever
+        // a model exists, `value` included; `cap > 4·m` (or a mirror as long
+        // as the history) keeps the whole lookback below in it.
+        let upto = norm.len().saturating_sub(1);
         let m = config.window;
         if upto < m || !value.is_finite() {
             return;
         }
         let start = upto.saturating_sub(4 * m);
-        // The mirror ring is in lockstep with the raw history whenever a
-        // model exists, so the normalised lookback is a plain subslice.
         let full = norm.materialized(norm64);
         let normalized = &full[start..upto];
         let actual = model.zscore().apply(value);
         tracker.observe(model.pool(), normalized, actual);
     }
 
-    /// Rebuilds the normalised mirror ring from the raw history with the
-    /// current model's coefficients (or empties it when no model exists).
-    /// Called after every successful (re)train and after snapshot restore.
+    /// Rebuilds the normalised mirror ring from the newest raw observations
+    /// with the current model's coefficients (or empties it when no model
+    /// exists). Called after every successful (re)train and after snapshot
+    /// restore; costs the mirror's capacity, not the history's length.
     pub(crate) fn rebuild_norm(&mut self) {
         self.norm.clear();
         if let Some(model) = &self.model {
-            for v in self.history.iter64() {
+            for v in self.history.tail64(self.norm.cap()) {
                 self.norm.push(model.zscore().apply(v));
             }
         }
@@ -848,8 +863,7 @@ impl OnlineLarp {
     pub(crate) fn rebuild_runtime(&mut self) {
         self.rolling =
             RollingMoments::new(self.train_size).expect("train_size validated at construction");
-        let tail = self.history.len().saturating_sub(self.train_size);
-        for v in self.history.iter64().skip(tail) {
+        for v in self.history.tail64(self.train_size) {
             self.rolling.push(v);
         }
         self.rebuild_norm();
@@ -898,9 +912,26 @@ impl OnlineLarp {
     }
 }
 
+/// Capacity of the normalised mirror: the longest tail any reader takes —
+/// the fallback tracker's `4·m` lookback plus the revealed value, or a pool
+/// member's [`ModelSpec::lookback`](predictors::ModelSpec::lookback) — clamped
+/// to the raw history bound. A pool with a member that reads its whole input
+/// mirrors the whole history, exactly as the raw ring holds it.
+pub(crate) fn mirror_cap(config: &LarpConfig, max_history: usize) -> usize {
+    let need = config
+        .pool
+        .iter()
+        .try_fold(4 * config.window + 1, |need, spec| spec.lookback().map(|l| need.max(l)));
+    match need {
+        Some(need) if max_history == 0 || need < max_history => need,
+        _ => max_history,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predictors::ModelSpec;
 
     fn qa() -> QualityAssuror {
         QualityAssuror::new(2.0, 8, 4).unwrap()
@@ -1206,6 +1237,116 @@ mod tests {
         assert_eq!(o.consecutive_retrain_failures(), 0);
         assert_eq!(last.health, HealthState::Healthy);
         assert!(last.forecast.is_some());
+    }
+
+    /// Drives `o` through a regime-switching signal long past its history
+    /// bound, with manual quarantines so the fallback tracker and the
+    /// degraded rung run too, resolving every armed retrain through
+    /// `take_retrain_request` + `install_retrain`. Each forecast is checked
+    /// against the installed model applied to the *whole* raw history,
+    /// normalised afresh (and quantized like the mirror in `f32` mode).
+    /// Returns every step for cross-instance comparison.
+    fn drive_against_full_history(o: &mut OnlineLarp) -> Vec<OnlineStep> {
+        o.set_deferred_retrain(true);
+        let f32_mode = o.resilience.f32_history;
+        let mut steps = Vec::new();
+        for t in 0..1500 {
+            let regime = (t / 150) % 3;
+            let value = match regime {
+                0 => (t as f64 * 0.2).sin() * 3.0,
+                1 => 40.0 + (t as f64 * 0.9).cos() * 25.0 + (t % 7) as f64,
+                _ => (t as f64 * 0.05).sin() * 0.5 + t as f64 * 0.01,
+            };
+            if t % 200 == 100 && o.is_trained() {
+                o.quarantine_predictor(PredictorId((t / 200) % 3)).unwrap();
+            }
+            let step = o.push(value);
+            if let (Some(f), Some(model)) = (step.forecast, &o.model) {
+                let full: Vec<f64> = o
+                    .history
+                    .iter64()
+                    .map(|v| model.zscore().apply(v))
+                    .map(|z| if f32_mode { z as f32 as f64 } else { z })
+                    .collect();
+                let want = match step.chosen {
+                    Some(id) => {
+                        if step.health == HealthState::Healthy {
+                            assert_eq!(model.select(&full).unwrap(), id, "selection at step {t}");
+                        }
+                        model.predict_with_normalized(id, &full).unwrap()
+                    }
+                    None => o.history.last().unwrap(),
+                };
+                assert_eq!(f.to_bits(), want.to_bits(), "forecast at step {t}");
+            }
+            if let Some(request) = o.take_retrain_request() {
+                let model = request.fit(o.config());
+                assert!(o.install_retrain(RetrainOutcome {
+                    generation: request.generation(),
+                    model,
+                    queue_wait_us: 0,
+                    fit_us: 0,
+                }));
+            }
+            steps.push(step);
+        }
+        assert!(o.retrain_count() > 10, "only {} retrains", o.retrain_count());
+        assert!(o.counters().degraded_steps > 0, "the degraded rung never served");
+        steps
+    }
+
+    #[test]
+    fn bounded_mirror_serves_like_the_full_history() {
+        let max_history = 96;
+        for (config, bounded) in [(LarpConfig::default(), true), (LarpConfig::extended(5), false)] {
+            for f32_history in [false, true] {
+                let resilience =
+                    ResilienceConfig { max_history, f32_history, ..ResilienceConfig::default() };
+                let qa = QualityAssuror::new(1.0, 8, 2).unwrap();
+                let mut o =
+                    OnlineLarp::with_resilience(config.clone(), 40, qa.clone(), resilience.clone())
+                        .unwrap();
+                // Standard pool: the tracker's 4·m + 1 tail; extended pool
+                // (EWMA, MEAN, adaptive members): the whole history.
+                let want_cap = if bounded { 4 * config.window + 1 } else { max_history };
+                assert_eq!(o.norm.cap(), want_cap);
+                let steps = drive_against_full_history(&mut o);
+                assert_eq!(o.norm.len(), want_cap.min(o.history.len()));
+
+                // Same stream with a mirror as long as the raw history: every
+                // step, fallback tracker included, is identical.
+                let mut full =
+                    OnlineLarp::with_resilience(config.clone(), 40, qa, resilience).unwrap();
+                full.norm = HistoryRing::new_mode(max_history, f32_history);
+                let full_steps = drive_against_full_history(&mut full);
+                assert_eq!(steps.len(), full_steps.len());
+                for (t, (a, b)) in steps.iter().zip(&full_steps).enumerate() {
+                    assert_eq!(a.chosen, b.chosen, "step {t}");
+                    assert_eq!(a.health, b.health, "step {t}");
+                    assert_eq!(
+                        a.forecast.map(f64::to_bits),
+                        b.forecast.map(f64::to_bits),
+                        "step {t}"
+                    );
+                }
+                assert_eq!(o.retrain_count(), full.retrain_count());
+            }
+        }
+    }
+
+    #[test]
+    fn mirror_cap_follows_the_pool_lookback() {
+        let m = 5;
+        assert_eq!(mirror_cap(&LarpConfig::paper(m), 4096), 4 * m + 1);
+        assert_eq!(mirror_cap(&LarpConfig::paper(m), 0), 4 * m + 1, "unbounded raw history");
+        assert_eq!(mirror_cap(&LarpConfig::paper(m), 12), 12, "clamped to the history bound");
+        let long = LarpConfig {
+            pool: vec![ModelSpec::Last, ModelSpec::SwAvg { window: 100 }],
+            ..LarpConfig::paper(m)
+        };
+        assert_eq!(mirror_cap(&long, 4096), 100, "a member reading further back widens it");
+        assert_eq!(mirror_cap(&LarpConfig::extended(m), 4096), 4096);
+        assert_eq!(mirror_cap(&LarpConfig::extended(m), 0), 0);
     }
 
     #[test]

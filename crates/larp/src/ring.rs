@@ -166,6 +166,16 @@ impl HistoryRing {
         }
     }
 
+    /// Iterates the newest `n` retained values (all of them when fewer are
+    /// retained, or when `n == 0`) widened to `f64`, oldest first.
+    pub(crate) fn tail64(&self, n: usize) -> RingIter64<'_> {
+        let skip = if n == 0 { 0 } else { self.len().saturating_sub(n) };
+        match &self.buf {
+            RingBuf::F64(buf) => RingIter64::F64(buf[self.start + skip..].iter()),
+            RingBuf::F32(buf) => RingIter64::F32(buf[self.start + skip..].iter()),
+        }
+    }
+
     /// The most recent value.
     pub(crate) fn last(&self) -> Option<f64> {
         match &self.buf {

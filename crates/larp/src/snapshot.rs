@@ -45,7 +45,7 @@ use timeseries::{RollingMoments, ZScore};
 use crate::config::{FeatureReduction, LarpConfig, ResilienceConfig};
 use crate::ingest::{GapFill, GuardedLarp, IngestConfig, IngestStats, OutlierPolicy, Sanitizer};
 use crate::model::{Scratch, TrainedLarp};
-use crate::online::{OnlineCounters, OnlineLarp, PredictorHealth};
+use crate::online::{mirror_cap, OnlineCounters, OnlineLarp, PredictorHealth};
 use crate::qa::QualityAssuror;
 use crate::ring::HistoryRing;
 use crate::selector::PoolErrorTracker;
@@ -658,6 +658,11 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     let next_retrain_at = r.u64()?;
     let retrain_pending = r.bool()?;
     if let Some(m) = &model {
+        // The normalised mirror is sized from the stream's pool; a model
+        // whose members read further back would be served a short tail.
+        if m.pool.specs() != config.pool.as_slice() {
+            return Err(err("trained model's pool differs from the stream's pool"));
+        }
         if predictor_health.len() != m.pool.len() {
             return Err(err(format!(
                 "{} health slots for a pool of {} members",
@@ -682,6 +687,8 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     // cold exactly as it does after a retrain.
     let tracker =
         model.as_ref().and_then(|m| PoolErrorTracker::new(m.pool.len(), config.window.max(8)).ok());
+    let norm =
+        HistoryRing::new_mode(mirror_cap(&config, resilience.max_history), resilience.f32_history);
     let mut online = OnlineLarp {
         config,
         qa,
@@ -690,7 +697,7 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
             resilience.max_history,
             resilience.f32_history,
         ),
-        norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
+        norm,
         rolling: RollingMoments::new(train_size).expect("train_size validated above"),
         scratch: Scratch::new(),
         resilience,
@@ -841,6 +848,10 @@ mod tests {
 
         let bytes = live.to_snapshot_bytes();
         let mut restored = OnlineLarp::from_snapshot_bytes(&bytes).unwrap();
+        // The mirror is rebuilt at the live instance's bounded capacity.
+        assert_eq!(restored.norm.cap(), live.norm.cap());
+        assert!(restored.norm.cap() < restored.history.len());
+        assert!(restored.norm.iter64().eq(live.norm.iter64()));
         assert_eq!(restored.retrain_count(), live.retrain_count());
         assert_eq!(restored.seen(), live.seen());
         assert_eq!(restored.counters(), live.counters());
@@ -858,6 +869,19 @@ mod tests {
         // training must not have been redone at restore time.
         assert!(restored.retrain_count() >= retrains_before);
         assert_eq!(restored.retrain_count(), live.retrain_count());
+    }
+
+    #[test]
+    fn model_pool_must_match_the_stream_pool() {
+        // The restored mirror is sized from the stream's pool; a model whose
+        // members could read further back than that is refused.
+        let mut live = OnlineLarp::new(LarpConfig::default(), 40, qa()).unwrap();
+        for t in 0..50 {
+            live.push(signal(t));
+        }
+        live.config.pool = ModelSpec::extended_pool(5);
+        let bytes = live.to_snapshot_bytes();
+        assert!(matches!(OnlineLarp::from_snapshot_bytes(&bytes), Err(LarpError::Snapshot(_))));
     }
 
     #[test]

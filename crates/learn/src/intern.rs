@@ -9,8 +9,11 @@
 //! distinct basis is resident exactly once no matter how many streams use it.
 //!
 //! The interner holds only [`Weak`] references. It never keeps a basis alive:
-//! when the last stream using a basis drops it, the entry dies with it and is
-//! pruned on the next `intern` call that hashes to the same bucket.
+//! when the last stream using a basis drops it, the entry dies with it. Dead
+//! entries are pruned when a later basis hashes to the same bucket, and by a
+//! whole-table sweep whenever the table has doubled since the previous sweep
+//! — so a fleet that retrains onto ever-new bases keeps a table about twice
+//! its live set, at amortised O(1) per `intern`.
 //!
 //! Equality is **bitwise** over every field (`f64::to_bits`), not `==`. Two
 //! bases that differ only in the sign of an eigenvector, or by one ULP from a
@@ -29,9 +32,38 @@ use crate::Pca;
 /// `&self`; an internal mutex guards the table.
 #[derive(Debug, Default)]
 pub struct PcaInterner {
+    table: Mutex<Table>,
+}
+
+/// Entries below which the table never sweeps: keeps tiny tables (tests, a
+/// handful of streams) from sweeping on every call.
+const SWEEP_FLOOR: usize = 64;
+
+#[derive(Debug, Default)]
+struct Table {
     /// Content hash → candidate bases with that hash. Collisions are resolved
     /// by full bitwise comparison; dead weaks are pruned in place.
-    table: Mutex<HashMap<u64, Vec<Weak<Pca>>>>,
+    buckets: HashMap<u64, Vec<Weak<Pca>>>,
+    /// Weak entries held across all buckets, live or dead.
+    entries: usize,
+    /// Entry count that triggers the next whole-table sweep.
+    sweep_at: usize,
+}
+
+impl Table {
+    /// Drops every dead entry and empty bucket, then sets the next sweep at
+    /// twice the surviving entries (at least [`SWEEP_FLOOR`]). Costs the
+    /// table's size, which at least `sweep_at / 2` interns since the last
+    /// sweep paid for.
+    fn sweep(&mut self) {
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(|w| w.strong_count() > 0);
+            !bucket.is_empty()
+        });
+        self.entries = self.buckets.values().map(Vec::len).sum();
+        self.sweep_at = (2 * self.entries).max(SWEEP_FLOOR);
+        self.buckets.shrink_to(self.sweep_at);
+    }
 }
 
 impl PcaInterner {
@@ -48,9 +80,15 @@ impl PcaInterner {
     /// components, eigenvalues and total variance.
     pub fn intern(&self, pca: Arc<Pca>) -> Arc<Pca> {
         let hash = content_hash(&pca);
-        let mut table = self.table.lock().expect("interner poisoned");
-        let bucket = table.entry(hash).or_default();
+        let mut guard = self.table.lock().expect("interner poisoned");
+        let table = &mut *guard;
+        if table.entries >= table.sweep_at {
+            table.sweep();
+        }
+        let bucket = table.buckets.entry(hash).or_default();
+        let before = bucket.len();
         bucket.retain(|w| w.strong_count() > 0);
+        table.entries -= before - bucket.len();
         for weak in bucket.iter() {
             if let Some(existing) = weak.upgrade() {
                 if Arc::ptr_eq(&existing, &pca) || bitwise_eq(&existing, &pca) {
@@ -59,6 +97,7 @@ impl PcaInterner {
             }
         }
         bucket.push(Arc::downgrade(&pca));
+        table.entries += 1;
         pca
     }
 
@@ -66,7 +105,13 @@ impl PcaInterner {
     /// lock; intended for accounting and tests, not the hot path.
     pub fn live(&self) -> usize {
         let table = self.table.lock().expect("interner poisoned");
-        table.values().flatten().filter(|w| w.strong_count() > 0).count()
+        table.buckets.values().flatten().filter(|w| w.strong_count() > 0).count()
+    }
+
+    /// Number of entries the table holds, dead ones not yet pruned included —
+    /// the table's actual footprint, for accounting and tests.
+    pub fn entries(&self) -> usize {
+        self.table.lock().expect("interner poisoned").entries
     }
 }
 
@@ -140,6 +185,46 @@ mod tests {
         let b = interner.intern(sample_pca(1.0));
         assert_eq!(interner.live(), 1);
         drop(b);
+    }
+
+    #[test]
+    fn unique_dropped_bases_do_not_accumulate() {
+        // Every basis is distinct and dies right after interning, so no later
+        // intern ever hashes into its bucket: only the whole-table sweep can
+        // prune it. The table must stay within twice the live set plus the
+        // sweep floor instead of growing with every basis ever seen.
+        let interner = PcaInterner::new();
+        let mut kept = Vec::new();
+        for i in 0..10_000 {
+            let handle = interner.intern(sample_pca(1.0 + i as f64));
+            // Keep a sparse live set so the bound is exercised above zero.
+            if i % 100 == 0 {
+                kept.push(handle);
+            }
+            let live = kept.len();
+            let entries = interner.entries();
+            assert!(
+                entries <= 2 * live + SWEEP_FLOOR,
+                "{entries} entries for {live} live bases after {} interns",
+                i + 1
+            );
+        }
+        assert_eq!(interner.live(), kept.len());
+        drop(kept);
+        assert_eq!(interner.live(), 0);
+    }
+
+    #[test]
+    fn entries_track_live_table() {
+        let interner = PcaInterner::new();
+        assert_eq!(interner.entries(), 0);
+        let a = interner.intern(sample_pca(1.0));
+        let b = interner.intern(sample_pca(1.0));
+        assert_eq!(interner.entries(), 1, "a shared basis is one entry");
+        drop((a, b));
+        assert_eq!(interner.entries(), 1, "dead entries linger until pruned");
+        let _c = interner.intern(sample_pca(1.0));
+        assert_eq!(interner.entries(), 1, "same-bucket intern prunes the dead entry");
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Pca {
             )));
         }
         let mean = data.column_means();
-        let cov = data.covariance();
+        let cov = data.covariance_about(&mean).map_err(|e| LearnError::Numerical(e.to_string()))?;
         let eig = SymEigen::decompose(&cov).map_err(|e| LearnError::Numerical(e.to_string()))?;
         // Covariance eigenvalues are >= 0 up to rounding; clamp tiny negatives.
         let eigenvalues: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
@@ -279,6 +279,29 @@ mod tests {
         // trend in this finite sample.
         assert!((c[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-2);
         assert!((c[0] - c[1]).abs() < 1e-2);
+    }
+
+    #[test]
+    fn fit_is_bit_identical_to_the_two_pass_covariance() {
+        // `fit` computes the column means once and centres the covariance on
+        // them; the result must match decomposing `Matrix::covariance`, which
+        // derives its own means, bit for bit.
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                (0..5).map(|j| ((i * 7 + j * 3) as f64 * 0.37).sin() * (j + 1) as f64).collect()
+            })
+            .collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let pca = Pca::fit(&data, 3).unwrap();
+        let eig = SymEigen::decompose(&data.covariance()).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(pca.mean()), bits(&data.column_means()));
+        let eigenvalues: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
+        assert_eq!(bits(pca.eigenvalues()), bits(&eigenvalues[..3]));
+        assert_eq!(pca.total_variance().to_bits(), eigenvalues.iter().sum::<f64>().to_bits());
+        for c in 0..3 {
+            assert_eq!(bits(pca.components().row(c)), bits(&eig.eigenvector(c)), "component {c}");
+        }
     }
 
     #[test]

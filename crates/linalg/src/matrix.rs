@@ -269,12 +269,29 @@ impl Matrix {
     /// Uses the unbiased `1/(n-1)` normalisation; for a single observation the
     /// covariance is defined as the zero matrix.
     pub fn covariance(&self) -> Matrix {
+        self.covariance_about(&self.column_means()).expect("column_means has one mean per column")
+    }
+
+    /// [`Matrix::covariance`] around caller-supplied column means, for
+    /// callers that need the means themselves too (PCA) and should not pay
+    /// for them twice. Bit-identical to `covariance()` when `means` is
+    /// [`Matrix::column_means`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `means.len() != self.cols()`.
+    pub fn covariance_about(&self, means: &[f64]) -> Result<Matrix> {
         let n = self.rows;
         let d = self.cols;
-        let means = self.column_means();
+        if means.len() != d {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "covariance_about: {} means for {d} columns",
+                means.len()
+            )));
+        }
         let mut cov = Matrix::zeros(d, d);
         if n < 2 {
-            return cov;
+            return Ok(cov);
         }
         // Accumulates the upper triangle with plain elementwise updates.
         // Each cov element receives exactly one `+= cᵢ · cⱼ` per row, so the
@@ -299,7 +316,7 @@ impl Matrix {
                 cov[(j, i)] = v;
             }
         }
-        cov
+        Ok(cov)
     }
 }
 

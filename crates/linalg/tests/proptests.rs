@@ -167,3 +167,33 @@ fn covariance_is_psd() {
         }
     }
 }
+
+/// Covariance is pinned bit-for-bit to the textbook per-element sum (rows in
+/// order, centred products, one `1/(n-1)` scale), and supplying the column
+/// means from outside changes nothing.
+#[test]
+fn covariance_matches_elementwise_reference_bitwise() {
+    let mut rng = Xoshiro256pp::seed_from_u64(109);
+    for _ in 0..64 {
+        let n = 2 + rng.next_below(40) as usize;
+        let d = 1 + rng.next_below(16) as usize;
+        let m = Matrix::from_vec(n, d, random_vec(&mut rng, n * d, -1e3, 1e3)).unwrap();
+        let means = m.column_means();
+        let cov = m.covariance();
+        let about = m.covariance_about(&means).unwrap();
+        let scale = 1.0 / (n as f64 - 1.0);
+        for i in 0..d {
+            for j in 0..d {
+                let (a, b) = (i.min(j), i.max(j));
+                let mut acc = 0.0;
+                for r in 0..n {
+                    acc += (m[(r, a)] - means[a]) * (m[(r, b)] - means[b]);
+                }
+                let want = (acc * scale).to_bits();
+                assert_eq!(cov[(i, j)].to_bits(), want, "cov[{i},{j}] for {n}x{d}");
+                assert_eq!(about[(i, j)].to_bits(), want, "about[{i},{j}] for {n}x{d}");
+            }
+        }
+        assert!(m.covariance_about(&means[1..]).is_err(), "one mean per column");
+    }
+}

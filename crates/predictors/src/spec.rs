@@ -129,6 +129,35 @@ impl ModelSpec {
         })
     }
 
+    /// How many most-recent points a fitted member's `predict` reads:
+    /// `predict(h)` equals `predict(&h[h.len() - l..])` bit-for-bit whenever
+    /// `h.len() >= l`. `None` means the forecast depends on the whole slice
+    /// (MEAN; EWMA, seeded from the oldest point; the adaptive models, which
+    /// replay every point to score their windows).
+    ///
+    /// Lets a caller that only ever predicts from the tail of a long history
+    /// (the online loop's normalised mirror) keep just that tail.
+    pub fn lookback(&self) -> Option<usize> {
+        match self {
+            ModelSpec::Last => Some(1),
+            ModelSpec::SwAvg { window }
+            | ModelSpec::Median { window }
+            | ModelSpec::TrimmedMean { window, .. }
+            | ModelSpec::PolyFit { window, .. } => Some(*window),
+            // The current step reads two points; the step average reads
+            // `window` increments, i.e. `window + 1` points.
+            ModelSpec::Tendency { window } => Some(*window + 1),
+            ModelSpec::Ar { order } => Some(*order),
+            // AR over the `diff`-times differenced tail, integrated back from
+            // the last point of every level.
+            ModelSpec::Ari { order, diff } => Some(order + diff),
+            ModelSpec::Mean
+            | ModelSpec::Ewma { .. }
+            | ModelSpec::AdaptiveMean
+            | ModelSpec::AdaptiveMedian => None,
+        }
+    }
+
     /// The paper's three-model pool in figure order: 1 = LAST, 2 = AR,
     /// 3 = SW_AVG. `order` is both the AR order and the SW_AVG window (the
     /// paper uses the prediction window `m` for both).

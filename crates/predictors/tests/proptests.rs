@@ -115,3 +115,43 @@ fn extended_pool_total_on_valid_inputs() {
         }
     }
 }
+
+/// `ModelSpec::lookback` is honest: a member claiming `Some(l)` forecasts
+/// bit-identically from the last `l` points alone, on any long-enough
+/// history, for every extended-pool member at several prediction orders.
+#[test]
+fn lookback_tail_predicts_bit_identically() {
+    let mut rng = Xoshiro256pp::seed_from_u64(406);
+    for m in [3, 5, 16] {
+        for _ in 0..48 {
+            let train = random_vec(&mut rng, 200, -100.0, 100.0);
+            for spec in ModelSpec::extended_pool(m) {
+                let Some(l) = spec.lookback() else { continue };
+                let model = spec.build(&train).unwrap();
+                let min = l.max(model.min_history());
+                let n = min + rng.next_below(80) as usize;
+                let h = random_vec(&mut rng, n, -1e3, 1e3);
+                let full = model.predict(&h);
+                let tail = model.predict(&h[h.len() - l..]);
+                assert_eq!(full.to_bits(), tail.to_bits(), "{spec:?} on {n} points, lookback {l}");
+            }
+        }
+    }
+}
+
+/// The members that claim no lookback really do read past any short tail:
+/// truncating their input changes the forecast.
+#[test]
+fn unbounded_members_read_the_whole_slice() {
+    let mut rng = Xoshiro256pp::seed_from_u64(407);
+    let train = random_vec(&mut rng, 200, -100.0, 100.0);
+    let h = random_vec(&mut rng, 120, -1e3, 1e3);
+    for spec in ModelSpec::extended_pool(5) {
+        if spec.lookback().is_some() {
+            continue;
+        }
+        let model = spec.build(&train).unwrap();
+        let tail = &h[h.len() - 8..];
+        assert_ne!(model.predict(&h).to_bits(), model.predict(tail).to_bits(), "{spec:?}");
+    }
+}

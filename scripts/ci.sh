@@ -29,9 +29,9 @@ echo "==> kernel dispatch parity (forced-scalar and forced-AVX2 runs)"
 # The vectorized kernels contract bit-identical results across dispatch modes
 # (DESIGN.md §13). Re-run the numeric crates with each mode forced; "avx2"
 # silently degrades to scalar on hosts without it, so both exports are safe
-# everywhere. linalg carries the to_bits parity proptests; larp + fleet prove
-# the serving pipeline end-to-end under each kernel set.
-LARP_KERNELS=scalar cargo test -q -p linalg -p larp -p fleet
+# everywhere. linalg carries the to_bits parity proptests; learn pins the PCA
+# fit; larp + fleet prove the serving pipeline end-to-end under each kernel set.
+LARP_KERNELS=scalar cargo test -q -p linalg -p learn -p larp -p fleet
 LARP_KERNELS=avx2 cargo test -q -p linalg
 
 if [[ "$QUICK" -eq 0 ]]; then
@@ -99,6 +99,16 @@ if [[ "$QUICK" -eq 0 ]]; then
     exit 1
   fi
   echo "mem_bench: $MEM_BPS bytes/stream (baseline $MEM_BASE, ceiling $MEM_CEIL)"
+  # The normalised mirror is sized to the pool's lookback (DESIGN.md §7). Its
+  # share of the fleet-wide figure is too small for the 120% ceiling to see
+  # it grow back to full history length, so its per-live-stream capacity is
+  # gated exactly: it is a deterministic function of the config.
+  NORM_NOW="$(grep -o '"norm": [0-9.]*' <<<"$MEM_JSON" | grep -o '[0-9.]*$')"
+  NORM_BASE="$(grep -o '"norm": [0-9.]*' results/BENCH_mem.json | grep -o '[0-9.]*$')"
+  if ! awk -v now="$NORM_NOW" -v base="$NORM_BASE" 'BEGIN { exit (now <= base) ? 0 : 1 }'; then
+    echo "memory regression: normalised mirror ${NORM_NOW}B/live stream > committed ${NORM_BASE}B"
+    exit 1
+  fi
 
   echo "==> 1M-stream hibernation smoke under a fixed RSS cap (~4 min)"
   # One million diet streams cycle through the engine cohort by cohort
@@ -120,8 +130,8 @@ if [[ "$QUICK" -eq 0 ]]; then
   # assert the core metric families made it into the dump.
   OBS_JSON="$(cargo run --release -q -p fleet --bin obs_dump -- --streams 8 --samples 120 --shards 2 --format json)"
   for metric in larp_selections_total larp_faults_sanitized_total \
-                fleet_push_accepted_total fleet_push_enqueue_us \
-                recorded; do
+                larp_retrain_install_us fleet_push_accepted_total \
+                fleet_push_enqueue_us recorded; do
     grep -q "\"$metric\"" <<<"$OBS_JSON" || { echo "obs_dump JSON missing $metric"; exit 1; }
   done
   # Prometheus: every sample line must carry a finite, non-negative value.
