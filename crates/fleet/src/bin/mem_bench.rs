@@ -2,7 +2,7 @@
 //!
 //! Default mode builds a steady-state fleet the way the memory budget
 //! (DESIGN.md §11) prescribes for large deployments: `--streams` diet
-//! streams (f32 history rings, 64-sample retention, small training window)
+//! streams (f32 history rings, small training window, lean sanitizer)
 //! pass through the engine in cohorts — registered, driven to a trained
 //! steady state, then spilled cold via `hibernate_idle` — and finally a
 //! `--hot` working set is woken with fresh traffic. The printed JSON report
@@ -82,9 +82,10 @@ fn parse_args() -> Args {
     args
 }
 
-/// The million-stream diet (DESIGN.md §11): f32 rings, 64 retained samples,
-/// the paper's m=5 window with a 24-sample training set, and a lean
-/// sanitizer footprint. Every knob trades warmup breadth for bytes; the
+/// The million-stream diet (DESIGN.md §11): f32 rings, the paper's m=5
+/// window with a 24-sample training set (all the raw ring retains; the
+/// `max_history` of 64 binds only whole-slice pools), and a lean sanitizer
+/// footprint. Every knob trades warmup breadth for bytes; the
 /// serving semantics (quantize-once, deterministic restore) are unchanged.
 fn diet_config() -> StreamConfig {
     StreamConfig {

@@ -202,7 +202,10 @@ pub struct StreamConfig {
     pub larp: LarpConfig,
     /// Samples per (re)training window.
     pub train_size: usize,
-    /// QA rolling-MSE retrain threshold (normalized units).
+    /// QA rolling-MSE retrain threshold, in *squared raw units*: the QA
+    /// averages squared errors of raw-scale forecasts, so scaling a signal by
+    /// `c` scales the audited MSE by `c²` and the same threshold retrains it
+    /// more often.
     pub qa_threshold: f64,
     /// QA audit window length.
     pub qa_window: usize,

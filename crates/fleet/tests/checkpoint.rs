@@ -104,3 +104,28 @@ fn restore_rejects_garbage() {
     bytes.truncate(bytes.len() / 2);
     assert!(FleetEngine::restore(cfg, &bytes).is_err());
 }
+
+#[test]
+fn checkpoint_carries_only_the_history_streams_read() {
+    // A default stream keeps the 40-sample training window of raw history,
+    // not its whole 1,000-sample past, so its LARPSNAP stays a few KB
+    // however long it has run.
+    const N: u64 = 64;
+    const SAMPLES: usize = 1_000;
+    let engine = FleetEngine::new(config(2)).unwrap();
+    let traces: Vec<Vec<f64>> = (0..N).map(|id| fleet_trace(77, id, SAMPLES)).collect();
+    for id in 0..N {
+        engine.register(id).unwrap();
+    }
+    for minute in 0..SAMPLES {
+        engine.push_batch(&batch_at(&traces, minute));
+        if minute % 32 == 31 {
+            engine.flush();
+        }
+    }
+    engine.flush();
+    // Measured 2,638 B per stream; a ring sized by `max_history` wrote
+    // 10,318 B here, and more the longer the streams ran.
+    let per_stream = engine.checkpoint().expect("checkpoint").len() / N as usize;
+    assert!(per_stream < 3_072, "{per_stream} B per stream");
+}

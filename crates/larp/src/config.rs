@@ -133,8 +133,13 @@ pub struct ResilienceConfig {
     pub retrain_backoff_base: usize,
     /// Upper bound on the retrain retry delay, in steps.
     pub retrain_backoff_cap: usize,
-    /// Retained history length in samples (`0` = unbounded). Must be at least
-    /// the online predictor's `train_size`.
+    /// Upper bound on retained history in samples (`0` = unbounded). Must be
+    /// at least the online predictor's `train_size`.
+    ///
+    /// It binds only pools with a member that reads its whole input (MEAN,
+    /// EWMA, ADJ_MEAN, ADJ_MEDIAN). Otherwise the raw ring holds just what
+    /// its readers take, `max(train_size, mirror cap)` — 40 samples for the
+    /// paper pool at m = 5 — whatever this is set to (DESIGN.md §7).
     pub max_history: usize,
     /// Store the history and normalised-mirror rings as `f32` instead of
     /// `f64`, halving the dominant per-stream allocation (the million-stream

@@ -183,8 +183,8 @@ impl Sanitizer {
     /// Returns [`LarpError::InvalidConfig`] if the config is invalid.
     pub fn new(config: IngestConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Self {
-            recent: VecDeque::with_capacity(config.robust_window),
+        let mut sanitizer = Self {
+            recent: VecDeque::new(),
             config,
             last_minute: None,
             last_value: None,
@@ -194,7 +194,25 @@ impl Sanitizer {
             stats: IngestStats::default(),
             robust_scratch: Vec::new(),
             dev_scratch: Vec::new(),
-        })
+        };
+        sanitizer.reserve_windows();
+        Ok(sanitizer)
+    }
+
+    /// Reserves the robust-window buffers at their exact peak size, with
+    /// the mirror and the MAD buffer still empty and `recent` no longer than
+    /// the window. `ingest_into` pushes before it evicts, so the window and
+    /// its sorted mirror briefly hold `robust_window + 1` values; left to
+    /// grow, they would double to the next power of two (64 slots for a
+    /// window of 32). The mirror and the MAD buffer stay unallocated when
+    /// the outlier policy never reads them.
+    fn reserve_windows(&mut self) {
+        let slots = self.config.robust_window + 1;
+        self.recent.reserve_exact(slots - self.recent.len());
+        if matches!(self.config.outlier, OutlierPolicy::MadClamp { .. }) {
+            self.robust_scratch.reserve_exact(slots);
+            self.dev_scratch.reserve_exact(slots);
+        }
     }
 
     /// Ingests one raw reading; returns the clean values to feed downstream,
@@ -275,9 +293,11 @@ impl Sanitizer {
     }
 
     /// Rebuilds the sorted mirror of `recent` after a snapshot restore (the
-    /// mirror is runtime-only state and is never serialized).
+    /// mirror is runtime-only state and is never serialized), with every
+    /// window buffer reserved as [`Sanitizer::new`] reserves it.
     pub(crate) fn rebuild_robust_mirror(&mut self) {
         self.robust_scratch.clear();
+        self.reserve_windows();
         if matches!(self.config.outlier, OutlierPolicy::MadClamp { .. }) {
             self.robust_scratch.extend(self.recent.iter().copied());
             self.robust_scratch.sort_unstable_by(f64::total_cmp);
@@ -610,6 +630,37 @@ mod tests {
         }
         let out = s.ingest(40, 101.0);
         assert_eq!(out, vec![101.0], "a 1% shift is not an outlier");
+    }
+
+    #[test]
+    fn window_buffers_hold_exactly_one_slot_past_the_window() {
+        // Gap fills push several values per reading, spikes exercise the
+        // clamp; neither may grow a buffer past `robust_window + 1` slots,
+        // and a snapshot restore reserves the same.
+        for (outlier, buffers) in
+            [(OutlierPolicy::MadClamp { threshold: 8.0 }, 3), (OutlierPolicy::None, 1)]
+        {
+            let config = IngestConfig { outlier, ..IngestConfig::default() };
+            let exact = (buffers * (config.robust_window + 1) + config.sentinel_values.len()) * 8;
+            let mut g = GuardedLarp::new(
+                config.clone(),
+                LarpConfig::default(),
+                40,
+                QualityAssuror::new(2.0, 8, 4).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(g.sanitizer().heap_bytes(), exact, "reserved up front");
+            let mut minute = 0u64;
+            for t in 0..10_000u64 {
+                minute += if t % 97 == 0 { 4 } else { 1 };
+                let v = if t % 31 == 0 { 1e6 } else { 50.0 + (t as f64 * 0.3).sin() };
+                g.sanitizer.ingest(minute, v);
+            }
+            assert_eq!(g.sanitizer().recent.len(), config.robust_window);
+            assert_eq!(g.sanitizer().heap_bytes(), exact, "{outlier:?} after 10k samples");
+            let restored = GuardedLarp::from_snapshot_bytes(&g.to_snapshot_bytes()).unwrap();
+            assert_eq!(restored.sanitizer().heap_bytes(), exact, "{outlier:?} restored");
+        }
     }
 
     #[test]

@@ -163,8 +163,9 @@ pub struct OnlineLarp {
     pub(crate) config: LarpConfig,
     pub(crate) resilience: ResilienceConfig,
     pub(crate) qa: QualityAssuror,
-    /// Most recent observations (raw scale), bounded by
-    /// [`ResilienceConfig::max_history`].
+    /// Most recent observations (raw scale), bounded by [`history_cap`] —
+    /// the longest tail any reader takes — so a stream keeps only the
+    /// history it can ever read.
     pub(crate) history: HistoryRing,
     /// The most recent observations normalised with the *current* model's
     /// train coefficients, maintained incrementally (one `ZScore::apply` per
@@ -315,6 +316,10 @@ impl OnlineLarp {
                 resilience.max_history
             )));
         }
+        let history = HistoryRing::new_mode(
+            history_cap(&config, train_size, resilience.max_history),
+            resilience.f32_history,
+        );
         let norm = HistoryRing::new_mode(
             mirror_cap(&config, resilience.max_history),
             resilience.f32_history,
@@ -322,7 +327,7 @@ impl OnlineLarp {
         Ok(Self {
             config,
             qa,
-            history: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
+            history,
             norm,
             rolling: RollingMoments::new(train_size)
                 .expect("train_size validated >= window + 2 above"),
@@ -928,6 +933,18 @@ pub(crate) fn mirror_cap(config: &LarpConfig, max_history: usize) -> usize {
     }
 }
 
+/// Capacity of the raw history ring: the longest tail any reader takes —
+/// the retrain window and the rolling moments read `train_size`, the mirror
+/// rebuild reads [`mirror_cap`], persistence reads the last value. A pool
+/// with a member that reads its whole input keeps `max_history` (0 stays
+/// unbounded), exactly as the mirror does.
+pub(crate) fn history_cap(config: &LarpConfig, train_size: usize, max_history: usize) -> usize {
+    match mirror_cap(config, max_history) {
+        0 => 0,
+        mirror => train_size.max(mirror),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,6 +1007,25 @@ mod tests {
             o.push(if t % 2 == 0 { 50.0 } else { -50.0 });
         }
         assert!(o.retrain_count() > 1, "retrains: {}", o.retrain_count());
+    }
+
+    #[test]
+    fn qa_threshold_is_in_squared_raw_units() {
+        // The QA scores raw-scale forecasts, so the same signal ten times
+        // larger has a hundred times the audited MSE against the same
+        // threshold. Counting errors in normalised units instead would make
+        // both streams retrain alike; that switch must be a deliberate,
+        // measured change, not a silent one.
+        let retrains = |scale: f64| {
+            let mut o = online();
+            for t in 0..600 {
+                let jitter = ((t * 37) % 11) as f64 * 0.05;
+                o.push(scale * ((t as f64 * 0.2).sin() + jitter));
+            }
+            o.retrain_count()
+        };
+        let (base, scaled) = (retrains(1.0), retrains(10.0));
+        assert!(scaled >= 10 * base, "x10 signal retrained {scaled} times, x1 {base}");
     }
 
     #[test]
@@ -1239,18 +1275,21 @@ mod tests {
         assert!(last.forecast.is_some());
     }
 
-    /// Drives `o` through a regime-switching signal long past its history
-    /// bound, with manual quarantines so the fallback tracker and the
-    /// degraded rung run too, resolving every armed retrain through
+    /// Drives `o` over steps `ts` of a regime-switching signal, long past
+    /// its history bound, with manual quarantines so the fallback tracker
+    /// and the degraded rung run too, resolving every armed retrain through
     /// `take_retrain_request` + `install_retrain`. Each forecast is checked
     /// against the installed model applied to the *whole* raw history,
     /// normalised afresh (and quantized like the mirror in `f32` mode).
     /// Returns every step for cross-instance comparison.
-    fn drive_against_full_history(o: &mut OnlineLarp) -> Vec<OnlineStep> {
+    fn drive_against_full_history(
+        o: &mut OnlineLarp,
+        ts: std::ops::Range<usize>,
+    ) -> Vec<OnlineStep> {
         o.set_deferred_retrain(true);
         let f32_mode = o.resilience.f32_history;
         let mut steps = Vec::new();
-        for t in 0..1500 {
+        for t in ts {
             let regime = (t / 150) % 3;
             let value = match regime {
                 0 => (t as f64 * 0.2).sin() * 3.0,
@@ -1295,9 +1334,21 @@ mod tests {
         steps
     }
 
+    fn assert_same_steps(a: &[OnlineStep], b: &[OnlineStep]) {
+        assert_eq!(a.len(), b.len());
+        for (t, (a, b)) in a.iter().zip(b).enumerate() {
+            assert_eq!(a.chosen, b.chosen, "step {t}");
+            assert_eq!(a.health, b.health, "step {t}");
+            assert_eq!(a.forecast.map(f64::to_bits), b.forecast.map(f64::to_bits), "step {t}");
+        }
+    }
+
     #[test]
-    fn bounded_mirror_serves_like_the_full_history() {
+    fn bounded_rings_serve_like_the_full_history() {
         let max_history = 96;
+        // Over 2,000 steps past every ring's cap, so both the bounded rings
+        // and the full-length twin compact many times.
+        let steps_total = max_history + 2_000;
         for (config, bounded) in [(LarpConfig::default(), true), (LarpConfig::extended(5), false)] {
             for f32_history in [false, true] {
                 let resilience =
@@ -1306,32 +1357,59 @@ mod tests {
                 let mut o =
                     OnlineLarp::with_resilience(config.clone(), 40, qa.clone(), resilience.clone())
                         .unwrap();
-                // Standard pool: the tracker's 4·m + 1 tail; extended pool
-                // (EWMA, MEAN, adaptive members): the whole history.
-                let want_cap = if bounded { 4 * config.window + 1 } else { max_history };
-                assert_eq!(o.norm.cap(), want_cap);
-                let steps = drive_against_full_history(&mut o);
-                assert_eq!(o.norm.len(), want_cap.min(o.history.len()));
+                // Standard pool: the tracker's 4·m + 1 tail for the mirror,
+                // the 40-sample training window for the raw ring; extended
+                // pool (EWMA, MEAN, adaptive members): the whole history.
+                let want_norm = if bounded { 4 * config.window + 1 } else { max_history };
+                let want_hist = if bounded { 40 } else { max_history };
+                assert_eq!(o.norm.cap(), want_norm);
+                assert_eq!(o.history.cap(), want_hist);
+                let steps = drive_against_full_history(&mut o, 0..steps_total);
+                assert_eq!(o.norm.len(), want_norm);
+                assert_eq!(o.history.len(), want_hist);
 
-                // Same stream with a mirror as long as the raw history: every
+                // The same stream with both rings forced to `max_history`
+                // (the layout before either was sized by its readers): every
                 // step, fallback tracker included, is identical.
                 let mut full =
                     OnlineLarp::with_resilience(config.clone(), 40, qa, resilience).unwrap();
+                full.history = HistoryRing::new_mode(max_history, f32_history);
                 full.norm = HistoryRing::new_mode(max_history, f32_history);
-                let full_steps = drive_against_full_history(&mut full);
-                assert_eq!(steps.len(), full_steps.len());
-                for (t, (a, b)) in steps.iter().zip(&full_steps).enumerate() {
-                    assert_eq!(a.chosen, b.chosen, "step {t}");
-                    assert_eq!(a.health, b.health, "step {t}");
-                    assert_eq!(
-                        a.forecast.map(f64::to_bits),
-                        b.forecast.map(f64::to_bits),
-                        "step {t}"
-                    );
-                }
+                let full_steps = drive_against_full_history(&mut full, 0..steps_total);
+                assert_eq!(full.history.len(), max_history);
+                assert_same_steps(&steps, &full_steps);
                 assert_eq!(o.retrain_count(), full.retrain_count());
+
+                // A snapshot carrying the twin's full-length history restores
+                // into the reader-sized ring and continues bit-identically.
+                let bytes = full.to_snapshot_bytes();
+                let mut restored = OnlineLarp::from_snapshot_bytes(&bytes).unwrap();
+                assert_eq!(restored.history.cap(), want_hist);
+                assert!(restored.history.iter64().eq(o.history.iter64()));
+                let more = steps_total..steps_total + 600;
+                let want = drive_against_full_history(&mut full, more.clone());
+                assert_same_steps(&drive_against_full_history(&mut restored, more.clone()), &want);
+                assert_same_steps(&drive_against_full_history(&mut o, more), &want);
             }
         }
+    }
+
+    #[test]
+    fn history_cap_follows_the_readers() {
+        let (m, train) = (5, 40);
+        // The training window outreaches the mirror's 4·m + 1 at m = 5 …
+        assert_eq!(history_cap(&LarpConfig::paper(m), train, 4096), 40);
+        // … and the mirror outreaches the training window at m = 16.
+        assert_eq!(history_cap(&LarpConfig::paper(16), train, 4096), 65);
+        // A whole-slice member keeps the configured bound, unbounded included.
+        assert_eq!(history_cap(&LarpConfig::extended(m), train, 4096), 4096);
+        assert_eq!(history_cap(&LarpConfig::extended(m), train, 0), 0);
+        // An unbounded setting no longer grows forever with a bounded pool.
+        assert_eq!(history_cap(&LarpConfig::paper(m), train, 0), 40);
+        assert_eq!(history_cap(&LarpConfig::paper(m), 100, 0), 100);
+        // Never past a bounded setting (construction rejects max_history
+        // below train_size, so the training window always fits).
+        assert_eq!(history_cap(&LarpConfig::paper(m), train, 40), 40);
     }
 
     #[test]

@@ -45,7 +45,7 @@ use timeseries::{RollingMoments, ZScore};
 use crate::config::{FeatureReduction, LarpConfig, ResilienceConfig};
 use crate::ingest::{GapFill, GuardedLarp, IngestConfig, IngestStats, OutlierPolicy, Sanitizer};
 use crate::model::{Scratch, TrainedLarp};
-use crate::online::{mirror_cap, OnlineCounters, OnlineLarp, PredictorHealth};
+use crate::online::{history_cap, mirror_cap, OnlineCounters, OnlineLarp, PredictorHealth};
 use crate::qa::QualityAssuror;
 use crate::ring::HistoryRing;
 use crate::selector::PoolErrorTracker;
@@ -62,6 +62,12 @@ pub const MAGIC: [u8; 8] = *b"LARPSNAP";
 ///   written as `f64` (an `f32`-quantized value is `f64`-lossless), so the
 ///   rest of the wire layout is unchanged and v1 snapshots restore
 ///   bit-identically as `f64`-ring streams.
+///
+/// The history is a length-prefixed sequence whose length is the ring's
+/// retained length: at most the ring cap, `max(train_size, mirror cap)` for
+/// a pool without whole-slice members. Older writers kept up to
+/// `max_history` values; restore keeps the newest `cap` of them, which is
+/// every value a reader takes, so no version bump was needed.
 pub const VERSION: u32 = 2;
 /// Oldest snapshot version the reader still accepts.
 pub const MIN_VERSION: u32 = 1;
@@ -242,7 +248,13 @@ impl<'a> Reader<'a> {
     /// remaining bytes cannot possibly hold (corrupt-input OOM guard).
     pub(crate) fn f64_seq(&mut self) -> Result<Vec<f64>> {
         let n = self.checked_len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+        // Sized up front: a `Result` collect cannot see the length and would
+        // round the allocation up as it grows.
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.f64()?);
+        }
+        Ok(out)
     }
 
     /// Reads a sequence length and checks it against the remaining bytes
@@ -687,16 +699,20 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     // cold exactly as it does after a retrain.
     let tracker =
         model.as_ref().and_then(|m| PoolErrorTracker::new(m.pool.len(), config.window.max(8)).ok());
+    // A snapshot written before the ring was sized by its readers carries up
+    // to `max_history` values; keeping the newest `cap` drops only values no
+    // reader looks at, so the restored stream continues bit-identically.
+    let history = HistoryRing::from_vec_mode(
+        history,
+        history_cap(&config, train_size, resilience.max_history),
+        resilience.f32_history,
+    );
     let norm =
         HistoryRing::new_mode(mirror_cap(&config, resilience.max_history), resilience.f32_history);
     let mut online = OnlineLarp {
         config,
         qa,
-        history: HistoryRing::from_vec_mode(
-            history,
-            resilience.max_history,
-            resilience.f32_history,
-        ),
+        history,
         norm,
         rolling: RollingMoments::new(train_size).expect("train_size validated above"),
         scratch: Scratch::new(),
@@ -771,6 +787,9 @@ fn get_sanitizer(r: &mut Reader) -> Result<Sanitizer> {
         robust_scratch: Vec::new(),
         dev_scratch: Vec::new(),
     };
+    if sanitizer.recent.len() > sanitizer.config.robust_window {
+        return Err(err("sanitizer window holds more values than its length"));
+    }
     sanitizer.rebuild_robust_mirror();
     Ok(sanitizer)
 }

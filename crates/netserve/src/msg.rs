@@ -214,7 +214,10 @@ pub struct StreamTuning {
     pub qa_window: u32,
     /// QA audit period.
     pub qa_period: u32,
-    /// QA rolling-MSE retrain threshold (normalized units).
+    /// QA rolling-MSE retrain threshold, in *squared raw units*: the QA
+    /// averages squared errors of raw-scale forecasts, so scaling a signal by
+    /// `c` scales the audited MSE by `c²` and the same threshold retrains it
+    /// more often.
     pub qa_threshold: f64,
 }
 

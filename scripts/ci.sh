@@ -99,16 +99,19 @@ if [[ "$QUICK" -eq 0 ]]; then
     exit 1
   fi
   echo "mem_bench: $MEM_BPS bytes/stream (baseline $MEM_BASE, ceiling $MEM_CEIL)"
-  # The normalised mirror is sized to the pool's lookback (DESIGN.md §7). Its
-  # share of the fleet-wide figure is too small for the 120% ceiling to see
-  # it grow back to full history length, so its per-live-stream capacity is
-  # gated exactly: it is a deterministic function of the config.
-  NORM_NOW="$(grep -o '"norm": [0-9.]*' <<<"$MEM_JSON" | grep -o '[0-9.]*$')"
-  NORM_BASE="$(grep -o '"norm": [0-9.]*' results/BENCH_mem.json | grep -o '[0-9.]*$')"
-  if ! awk -v now="$NORM_NOW" -v base="$NORM_BASE" 'BEGIN { exit (now <= base) ? 0 : 1 }'; then
-    echo "memory regression: normalised mirror ${NORM_NOW}B/live stream > committed ${NORM_BASE}B"
-    exit 1
-  fi
+  # The normalised mirror and the raw history ring are sized by their readers
+  # (DESIGN.md §7). Their share of the fleet-wide figure is too small for the
+  # 120% ceiling to see either grow back to full history length, so their
+  # per-live-stream capacities are gated exactly: both are deterministic
+  # functions of the config.
+  for ring in norm history; do
+    RING_NOW="$(grep -o "\"$ring\": [0-9.]*" <<<"$MEM_JSON" | grep -o '[0-9.]*$')"
+    RING_BASE="$(grep -o "\"$ring\": [0-9.]*" results/BENCH_mem.json | grep -o '[0-9.]*$')"
+    if ! awk -v now="$RING_NOW" -v base="$RING_BASE" 'BEGIN { exit (now <= base) ? 0 : 1 }'; then
+      echo "memory regression: $ring ring ${RING_NOW}B/live stream > committed ${RING_BASE}B"
+      exit 1
+    fi
+  done
 
   echo "==> 1M-stream hibernation smoke under a fixed RSS cap (~4 min)"
   # One million diet streams cycle through the engine cohort by cohort
