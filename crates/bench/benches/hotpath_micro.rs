@@ -118,7 +118,8 @@ fn bench_online_step(rows: &mut Vec<(String, f64)>) {
 fn bench_retrain(rows: &mut Vec<(String, f64)>) {
     // The online serving layer retrains on a train_size (40) tail; on busy
     // fleets this happens every few steps per stream, so its cost is as much
-    // part of the hot path as the per-sample step.
+    // part of the hot path as the per-sample step. The phase rows below time
+    // the pieces of the training core on the same tail.
     let mut g = Rec::new("hot_retrain", rows);
     let tail: Vec<f64> = (0..40).map(signal).collect();
     let config = LarpConfig::default();
@@ -131,10 +132,9 @@ fn bench_retrain(rows: &mut Vec<(String, f64)>) {
     });
     let pool = predictors::PredictorPool::from_specs(&config.pool, &normalized).unwrap();
     g.bench("label_35_windows", || {
-        larp::labeler::label_windows(black_box(&pool), &normalized, 5).unwrap()
+        larp::labeler::label_ids(black_box(&pool), &normalized, 5, 1).unwrap()
     });
-    let labeled = larp::labeler::label_windows(&pool, &normalized, 5).unwrap();
-    let rows_: Vec<Vec<f64>> = labeled.iter().map(|lw| lw.window.clone()).collect();
+    let rows_: Vec<Vec<f64>> = normalized.windows(5).take(35).map(<[f64]>::to_vec).collect();
     let matrix = Matrix::from_rows(&rows_).unwrap();
     g.bench("pca_fit_35x5", || Pca::fit(black_box(&matrix), 2).unwrap());
     g.bench("cov_35x5", || black_box(&matrix).covariance());

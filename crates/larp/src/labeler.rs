@@ -3,10 +3,11 @@
 //! For every training window the full pool runs and the model with the
 //! smallest absolute one-step error becomes the window's class label (paper
 //! §6.1/§7.2.1). This is the only place the LARPredictor ever runs all
-//! predictors — and it is embarrassingly parallel across windows, so
-//! [`label_windows_parallel`] splits the window range over `std::thread`
-//! scoped threads. A sequential twin exists both as the small-input fast path
-//! and as the reference the tests and the PERF bench compare against.
+//! predictors. Labelling is model-major ([`PredictorPool::best_ids`]): each
+//! member forecasts every window before the next member runs, so the
+//! per-window work is one non-virtual loop per model. Long series split the
+//! window range over `std::thread` scoped threads; the labels do not depend
+//! on the split.
 
 use predictors::{PredictorId, PredictorPool};
 use timeseries::Frames;
@@ -26,97 +27,44 @@ pub struct LabeledWindow {
     pub target: f64,
 }
 
-/// Labels every `(window, next-value)` pair of `train` sequentially.
+/// Labels every `(window, next-value)` pair of `train`, copying each window
+/// out alongside its label and target (for diagnostics; training itself
+/// takes [`label_ids`]).
 ///
 /// # Errors
 ///
 /// Returns [`LarpError::InsufficientData`] if `train` yields no
-/// (window, target) pair (`train.len() <= window`), or if the pool needs more
-/// history than one window provides.
+/// (window, target) pair (`train.len() <= window`), or
+/// [`LarpError::InvalidConfig`] if the pool needs more history than one
+/// window provides.
 pub fn label_windows(
     pool: &PredictorPool,
     train: &[f64],
     window: usize,
 ) -> Result<Vec<LabeledWindow>> {
-    let frames = prepare(pool, train, window)?;
-    Ok(frames
-        .with_targets()
+    let labels = label_ids(pool, train, window, 1)?;
+    Ok(labels
+        .into_iter()
         .enumerate()
-        .map(|(index, (w, target))| {
-            let (label, _) = pool.best_for(w, target);
-            LabeledWindow { index, window: w.to_vec(), label, target }
+        .map(|(index, label)| LabeledWindow {
+            index,
+            window: train[index..index + window].to_vec(),
+            label: PredictorId(label),
+            target: train[index + window],
         })
         .collect())
 }
 
-/// Labels every `(window, next-value)` pair of `train`, fanning the window
-/// range out over `threads` scoped worker threads. Produces exactly the same
-/// labels as [`label_windows`] in the same order.
+/// Labels every `(window, next-value)` pair of `train`, returning the class
+/// indices only — no window copies. Series with at least 256 windows fan the
+/// window range out over `threads` scoped worker threads; the labels are the
+/// same for every thread count. This is the labelling step of every
+/// (re)train.
 ///
 /// # Errors
 ///
 /// * [`LarpError::InvalidConfig`] if `threads == 0`;
 /// * the same data conditions as [`label_windows`].
-pub fn label_windows_parallel(
-    pool: &PredictorPool,
-    train: &[f64],
-    window: usize,
-    threads: usize,
-) -> Result<Vec<LabeledWindow>> {
-    if threads == 0 {
-        return Err(LarpError::InvalidConfig("threads must be >= 1".into()));
-    }
-    let frames = prepare(pool, train, window)?;
-    let total = frames.count_with_targets();
-    // Spawning a thread costs far more than labelling a few dozen tiny
-    // windows: the online serving path retrains on ~40-sample tails, and
-    // fanning those out ate the entire retrain budget in thread setup. Only
-    // go wide when there is real work to split.
-    if threads == 1 || total < 256 {
-        return label_windows(pool, train, window);
-    }
-    let chunk = total.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
-        .filter(|(s, e)| s < e)
-        .collect();
-
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let frames = &frames;
-                s.spawn(move || {
-                    (start..end)
-                        .map(|index| {
-                            let w = frames.get(index);
-                            let target = train[index + window];
-                            let (label, _) = pool.best_for(w, target);
-                            LabeledWindow { index, window: w.to_vec(), label, target }
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("labeler worker panicked"))
-            .collect::<Vec<Vec<_>>>()
-    });
-
-    Ok(results.into_iter().flatten().collect())
-}
-
-/// Labels every `(window, next-value)` pair of `train` returning the class
-/// indices only — no window copies, no per-window forecast vectors. Produces
-/// exactly `label_windows_parallel(..).iter().map(|lw| lw.label.0)` (a test
-/// pins this), but the only allocation is the returned label vector itself,
-/// which the k-NN fit consumes. This is the path the online retrain loop
-/// takes several thousand times per minute.
-///
-/// # Errors
-///
-/// Same conditions as [`label_windows_parallel`].
 pub fn label_ids(
     pool: &PredictorPool,
     train: &[f64],
@@ -126,36 +74,32 @@ pub fn label_ids(
     if threads == 0 {
         return Err(LarpError::InvalidConfig("threads must be >= 1".into()));
     }
-    let frames = prepare(pool, train, window)?;
-    let total = frames.count_with_targets();
+    let total = prepare(pool, train, window)?.count_with_targets();
+    // Spawning a thread costs far more than labelling a few dozen tiny
+    // windows: the online serving path retrains on ~40-sample tails, and
+    // fanning those out ate the entire retrain budget in thread setup. Only
+    // go wide when there is real work to split.
     if threads == 1 || total < 256 {
-        return Ok((0..total)
-            .map(|index| pool.best_id(frames.get(index), train[index + window]).0)
-            .collect());
+        return Ok(pool.best_ids(train, window));
     }
     let chunk = total.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
-        .filter(|(s, e)| s < e)
-        .collect();
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let frames = &frames;
-                s.spawn(move || {
-                    (start..end)
-                        .map(|index| pool.best_id(frames.get(index), train[index + window]).0)
-                        .collect::<Vec<_>>()
-                })
-            })
+    let parts = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
+            .filter(|(start, end)| start < end)
+            // Windows `start..end` and their targets.
+            .map(|(start, end)| s.spawn(move || pool.best_ids(&train[start..end + window], window)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("labeler worker panicked"))
-            .collect::<Vec<Vec<_>>>()
+            .collect::<Vec<Vec<usize>>>()
     });
-    Ok(results.into_iter().flatten().collect())
+    let mut labels = Vec::with_capacity(total);
+    for part in parts {
+        labels.extend(part);
+    }
+    Ok(labels)
 }
 
 fn prepare<'a>(pool: &PredictorPool, train: &'a [f64], window: usize) -> Result<Frames<'a>> {
@@ -188,6 +132,11 @@ mod tests {
         PredictorPool::standard(train, m).unwrap()
     }
 
+    /// The per-window streaming argmin the model-major pass replaced.
+    fn per_window(p: &PredictorPool, t: &[f64], m: usize) -> Vec<usize> {
+        (0..t.len() - m).map(|i| p.best_id(&t[i..i + m], t[i + m]).0).collect()
+    }
+
     #[test]
     fn labels_cover_all_window_target_pairs() {
         let t = series(100);
@@ -196,7 +145,8 @@ mod tests {
         assert_eq!(labels.len(), 95); // u - m
         for (i, lw) in labels.iter().enumerate() {
             assert_eq!(lw.index, i);
-            assert_eq!(lw.window.len(), 5);
+            assert_eq!(lw.window, t[i..i + 5]);
+            assert_eq!(lw.target, t[i + 5]);
             assert!(lw.label.0 < p.len());
         }
     }
@@ -215,31 +165,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_for_all_thread_counts() {
-        let t = series(300);
-        let p = pool(&t, 5);
-        let seq = label_windows(&p, &t, 5).unwrap();
-        for threads in [1, 2, 3, 4, 7] {
-            let par = label_windows_parallel(&p, &t, 5, threads).unwrap();
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn label_ids_matches_labeled_windows_in_both_regimes() {
-        // Small series takes the sequential path; 300 windows with 4 threads
-        // takes the parallel fan-out. Both must agree with the window-copying
-        // reference exactly.
-        for (n, threads) in [(100, 1), (100, 4), (300, 1), (300, 4)] {
+    fn label_ids_match_the_per_window_argmin_for_all_thread_counts() {
+        // Small series take the sequential path; 300 windows with more than
+        // one thread take the parallel fan-out. Both must agree with the
+        // per-window reference exactly, on the standard and extended pools.
+        for n in [100, 300] {
             let t = series(n);
-            let p = pool(&t, 5);
-            let reference: Vec<usize> =
-                label_windows(&p, &t, 5).unwrap().iter().map(|lw| lw.label.0).collect();
-            assert_eq!(
-                label_ids(&p, &t, 5, threads).unwrap(),
-                reference,
-                "n={n} threads={threads}"
-            );
+            for p in [pool(&t, 5), PredictorPool::extended(&t, 5).unwrap()] {
+                let reference = per_window(&p, &t, 5);
+                for threads in [1, 2, 3, 4, 7] {
+                    assert_eq!(
+                        label_ids(&p, &t, 5, threads).unwrap(),
+                        reference,
+                        "n={n} threads={threads}"
+                    );
+                }
+            }
         }
     }
 
@@ -264,6 +205,6 @@ mod tests {
         // Series exactly window-long: one frame, no target.
         let tiny = series(5);
         assert!(matches!(label_windows(&p, &tiny, 5), Err(LarpError::InsufficientData(_))));
-        assert!(matches!(label_windows_parallel(&p, &t, 5, 0), Err(LarpError::InvalidConfig(_))));
+        assert!(matches!(label_ids(&p, &t, 5, 0), Err(LarpError::InvalidConfig(_))));
     }
 }

@@ -60,6 +60,7 @@ pub mod qa;
 mod ring;
 pub mod selector;
 pub mod snapshot;
+mod training;
 
 pub use config::{LarpConfig, ResilienceConfig};
 pub use diagnose::{assess, Applicability, Recommendation};

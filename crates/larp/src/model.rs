@@ -3,12 +3,10 @@
 use std::sync::Arc;
 
 use learn::{KnnClassifier, Pca};
-use linalg::Matrix;
 use predictors::{PredictorId, PredictorPool};
 use timeseries::ZScore;
 
-use crate::config::{FeatureReduction, LarpConfig};
-use crate::labeler::label_ids;
+use crate::config::LarpConfig;
 use crate::selector::KnnSelector;
 use crate::{LarpError, Result};
 
@@ -92,9 +90,10 @@ impl TrainedLarp {
     /// Runs the full training phase on a raw (unnormalised) training series.
     ///
     /// Steps (paper Figure 3): z-score fit → normalise → frame into windows of
-    /// size `m` → label every window with its best predictor (all models run
-    /// in parallel) → PCA fit on the windows → index (projected window, label)
-    /// pairs in the k-NN classifier.
+    /// size `m` → label every window with its best predictor (every pool
+    /// member runs on every window) → PCA fit on the windows → index
+    /// (projected window, label) pairs in the k-NN classifier. The same
+    /// training core serves [`RetrainRequest::fit`](crate::RetrainRequest::fit).
     ///
     /// # Errors
     ///
@@ -113,60 +112,7 @@ impl TrainedLarp {
     ///
     /// Same conditions as [`TrainedLarp::train`].
     pub fn train_with_threads(train: &[f64], config: &LarpConfig, threads: usize) -> Result<Self> {
-        config.validate()?;
-        let m = config.window;
-        // Need enough windows for PCA (>= 2) and for k neighbours.
-        let min_windows = config.k.max(2);
-        if train.len() < m + min_windows {
-            return Err(LarpError::InsufficientData(format!(
-                "training series of length {} cannot produce {min_windows} windows of size {m}",
-                train.len()
-            )));
-        }
-
-        let zscore = ZScore::fit(train)?;
-        let normalized = zscore.apply_slice(train);
-
-        let pool = PredictorPool::from_specs(&config.pool, &normalized)?;
-        // Labels only — the windows themselves are overlapping subslices of
-        // `normalized`, so nothing is copied per window until the single flat
-        // matrix below. This keeps a steady-state retrain (a few dozen tiny
-        // windows, several thousand times a minute at fleet scale) down to a
-        // handful of right-sized allocations instead of ~4 per window.
-        let labels = label_ids(&pool, &normalized, m, threads)?;
-        let n_windows = labels.len();
-
-        // Flat row-major window matrix: (u - m) × m, one copy per window.
-        let mut windows = Vec::with_capacity(n_windows * m);
-        for i in 0..n_windows {
-            windows.extend_from_slice(&normalized[i..i + m]);
-        }
-
-        let (pca, points, dim) = match &config.reduction {
-            FeatureReduction::None => (None, windows, m),
-            reduction => {
-                let window_matrix = Matrix::from_vec(n_windows, m, windows)
-                    .map_err(|e| LarpError::Substrate(e.to_string()))?;
-                let p = match reduction {
-                    FeatureReduction::Pca { dims } => Pca::fit(&window_matrix, *dims)?,
-                    FeatureReduction::PcaFraction { min_fraction } => {
-                        Pca::fit_fraction(&window_matrix, *min_fraction)?
-                    }
-                    FeatureReduction::None => unreachable!("handled above"),
-                };
-                let dim = p.n_components();
-                let mut features = Vec::with_capacity(n_windows * dim);
-                let mut buf = Vec::with_capacity(dim);
-                for i in 0..n_windows {
-                    p.transform_into(window_matrix.row(i), &mut buf)?;
-                    features.extend_from_slice(&buf);
-                }
-                (Some(Arc::new(p)), features, dim)
-            }
-        };
-        let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;
-
-        Ok(Self { config: config.clone(), zscore, pool, pca, knn, train_len: train.len() })
+        crate::training::train(train, config, threads)
     }
 
     /// The configuration the model was trained with.

@@ -115,14 +115,10 @@ impl RetrainRequest {
     /// written, so this can run off-thread. Returns `None` when training
     /// fails *or* the fitted model cannot produce a finite forecast on its
     /// own training tail (a NaN-poisoned window) — installing such a model
-    /// would poison every forecast.
+    /// would poison every forecast. The probe reuses the training pass's
+    /// normalised tail instead of re-normalising it.
     pub fn fit(&self, config: &LarpConfig) -> Option<TrainedLarp> {
-        TrainedLarp::train(&self.tail, config).ok().filter(|model| {
-            matches!(
-                model.predict_next_raw(&self.tail),
-                Ok((_, f)) if f.is_finite()
-            )
-        })
+        crate::training::fit_retrain(&self.tail, config)
     }
 }
 

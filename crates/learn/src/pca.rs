@@ -28,31 +28,9 @@ impl Pca {
     /// * [`LearnError::InsufficientData`] if `data` has fewer than 2 rows;
     /// * [`LearnError::Numerical`] if the eigensolver fails.
     pub fn fit(data: &Matrix, n: usize) -> Result<Self> {
-        let d = data.cols();
-        if n == 0 || n > d {
-            return Err(LearnError::InvalidParameter(format!(
-                "PCA dimension must be in 1..={d}, got {n}"
-            )));
-        }
-        if data.rows() < 2 {
-            return Err(LearnError::InsufficientData(format!(
-                "PCA needs at least 2 observations, got {}",
-                data.rows()
-            )));
-        }
-        let mean = data.column_means();
-        let cov = data.covariance_about(&mean).map_err(|e| LearnError::Numerical(e.to_string()))?;
-        let eig = SymEigen::decompose(&cov).map_err(|e| LearnError::Numerical(e.to_string()))?;
-        // Covariance eigenvalues are >= 0 up to rounding; clamp tiny negatives.
-        let eigenvalues: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
-        let total_variance: f64 = eigenvalues.iter().sum();
-
-        let mut components = Matrix::zeros(n, d);
-        for c in 0..n {
-            let v = eig.eigenvector(c);
-            components.row_mut(c).copy_from_slice(&v);
-        }
-        Ok(Self { mean, components, eigenvalues: eigenvalues[..n].to_vec(), total_variance })
+        check_dims(n, data.cols())?;
+        let (mean, eig) = Self::decompose(data)?;
+        Self::from_eigen(mean, &eig, n)
     }
 
     /// Fits PCA keeping the smallest number of components whose cumulative
@@ -64,28 +42,79 @@ impl Pca {
     /// * [`LearnError::InvalidParameter`] if `min_fraction` is outside `(0, 1]`;
     /// * same data conditions as [`Pca::fit`].
     pub fn fit_fraction(data: &Matrix, min_fraction: f64) -> Result<Self> {
-        if !(min_fraction.is_finite() && 0.0 < min_fraction && min_fraction <= 1.0) {
-            return Err(LearnError::InvalidParameter(format!(
-                "variance fraction must be in (0, 1], got {min_fraction}"
+        check_fraction(min_fraction)?;
+        check_dims(data.cols(), data.cols())?;
+        let (mean, eig) = Self::decompose(data)?;
+        Self::from_eigen_fraction(mean, &eig, min_fraction)
+    }
+
+    /// Column means and the eigendecomposition of the covariance about them.
+    fn decompose(data: &Matrix) -> Result<(Vec<f64>, SymEigen)> {
+        if data.rows() < 2 {
+            return Err(LearnError::InsufficientData(format!(
+                "PCA needs at least 2 observations, got {}",
+                data.rows()
             )));
         }
-        // Fit with all components, then truncate.
-        let full = Self::fit(data, data.cols())?;
-        let total = full.total_variance;
-        if total <= 0.0 {
-            // Constant data: one component is as good as any.
-            return Self::fit(data, 1);
+        let mean = data.column_means();
+        let cov = data.covariance_about(&mean).map_err(|e| LearnError::Numerical(e.to_string()))?;
+        let eig = SymEigen::decompose(&cov).map_err(|e| LearnError::Numerical(e.to_string()))?;
+        Ok((mean, eig))
+    }
+
+    /// Builds the projection from training means and the eigendecomposition
+    /// of the covariance about them, keeping the leading `n` components —
+    /// the second half of [`Pca::fit`], for callers that computed the
+    /// moments and solved the eigenproblem themselves (the fused retrain).
+    ///
+    /// # Errors
+    ///
+    /// * [`LearnError::InvalidParameter`] if `n == 0` or `n > d`;
+    /// * [`LearnError::ShapeMismatch`] if `mean` and `eig` disagree on `d`.
+    pub fn from_eigen(mean: Vec<f64>, eig: &SymEigen, n: usize) -> Result<Self> {
+        let d = eig.eigenvalues.len();
+        check_dims(n, d)?;
+        if mean.len() != d {
+            return Err(LearnError::ShapeMismatch(format!(
+                "{} means vs a {d}-dimensional eigendecomposition",
+                mean.len()
+            )));
         }
-        let mut acc = 0.0;
-        let mut n = full.eigenvalues.len();
-        for (i, &l) in full.eigenvalues.iter().enumerate() {
-            acc += l;
-            if acc / total >= min_fraction {
-                n = i + 1;
-                break;
+        let (eigenvalues, total_variance) = clamped(eig);
+        let mut components = Matrix::zeros(n, d);
+        for c in 0..n {
+            for (r, x) in components.row_mut(c).iter_mut().enumerate() {
+                *x = eig.eigenvectors[(r, c)];
             }
         }
-        Self::fit(data, n)
+        Ok(Self { mean, components, eigenvalues: eigenvalues[..n].to_vec(), total_variance })
+    }
+
+    /// [`Pca::from_eigen`] keeping as many components as
+    /// [`Pca::fit_fraction`] would: the fewest whose cumulative explained
+    /// variance reaches `min_fraction`, one for constant data.
+    ///
+    /// # Errors
+    ///
+    /// * [`LearnError::InvalidParameter`] if `min_fraction` is outside `(0, 1]`;
+    /// * same conditions as [`Pca::from_eigen`].
+    pub fn from_eigen_fraction(mean: Vec<f64>, eig: &SymEigen, min_fraction: f64) -> Result<Self> {
+        check_fraction(min_fraction)?;
+        let (eigenvalues, total) = clamped(eig);
+        let n = if total <= 0.0 {
+            // Constant data: one component is as good as any.
+            1
+        } else {
+            eigenvalues
+                .iter()
+                .scan(0.0, |acc, &l| {
+                    *acc += l;
+                    Some(*acc)
+                })
+                .position(|acc| acc / total >= min_fraction)
+                .map_or(eigenvalues.len(), |i| i + 1)
+        };
+        Self::from_eigen(mean, eig, n)
     }
 
     /// Reconstructs a fitted projection from its parts (the accessors are the
@@ -255,6 +284,34 @@ impl Pca {
     }
 }
 
+/// Checks a component count against the input dimension.
+fn check_dims(n: usize, d: usize) -> Result<()> {
+    if n == 0 || n > d {
+        return Err(LearnError::InvalidParameter(format!(
+            "PCA dimension must be in 1..={d}, got {n}"
+        )));
+    }
+    Ok(())
+}
+
+/// Checks a minimum explained-variance fraction.
+fn check_fraction(min_fraction: f64) -> Result<()> {
+    if !(min_fraction.is_finite() && 0.0 < min_fraction && min_fraction <= 1.0) {
+        return Err(LearnError::InvalidParameter(format!(
+            "variance fraction must be in (0, 1], got {min_fraction}"
+        )));
+    }
+    Ok(())
+}
+
+/// Covariance eigenvalues with tiny negative rounding clamped to zero, and
+/// their sum (the total variance).
+fn clamped(eig: &SymEigen) -> (Vec<f64>, f64) {
+    let eigenvalues: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
+    let total = eigenvalues.iter().sum();
+    (eigenvalues, total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +420,31 @@ mod tests {
         // Requiring 99.999% forces the second component in.
         let pca2 = Pca::fit_fraction(&data, 0.99999).unwrap();
         assert_eq!(pca2.n_components(), 2);
+    }
+
+    /// `fit_fraction` solves the eigenproblem once and truncates; before, it
+    /// fitted every component and then called `fit` again with the chosen
+    /// count. Both must agree by `to_bits` — same decomposition, top `n`
+    /// rows and eigenvalues, same total variance — including constant data.
+    #[test]
+    fn fit_fraction_equals_the_double_fit_bitwise() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let wavy: Vec<f64> =
+            (0..40 * 5).map(|k| ((k / 5 * 7 + k % 5 * 3) as f64 * 0.37).sin()).collect();
+        let wavy = Matrix::from_vec(40, 5, wavy).unwrap();
+        let constant =
+            Matrix::from_rows(&[vec![2.0, 3.0], vec![2.0, 3.0], vec![2.0, 3.0]]).unwrap();
+        for data in [diagonal_data(), wavy, constant] {
+            for fraction in [0.3, 0.9, 0.95, 0.99999, 1.0] {
+                let once = Pca::fit_fraction(&data, fraction).unwrap();
+                let twice = Pca::fit(&data, once.n_components()).unwrap();
+                assert_eq!(bits(once.mean()), bits(twice.mean()));
+                assert_eq!(bits(once.components().as_slice()), bits(twice.components().as_slice()));
+                assert_eq!(bits(once.eigenvalues()), bits(twice.eigenvalues()));
+                assert_eq!(once.total_variance().to_bits(), twice.total_variance().to_bits());
+                assert_eq!(once.heap_bytes(), twice.heap_bytes());
+            }
+        }
     }
 
     #[test]

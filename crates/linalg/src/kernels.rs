@@ -255,6 +255,56 @@ pub fn project_sqdist(x: &[f64], means: &[f64], components: &[f64], point: &[f64
     acc
 }
 
+/// Per-window [`sum`]: `out[i] = sum(&xs[i..i + w])` for every `i <
+/// out.len()`, under one dispatch — bit-identical to calling [`sum`] per
+/// window. The model-major SW_AVG labelling pass.
+///
+/// # Panics
+///
+/// Panics if `w == 0` or `xs` holds fewer than `out.len()` windows of `w`.
+#[inline]
+pub fn window_sums(xs: &[f64], w: usize, out: &mut [f64]) {
+    assert!(
+        w > 0 && xs.len() + 1 >= w + out.len(),
+        "window_sums: {} windows of {w} need {} values, got {}",
+        out.len(),
+        out.len() + w - 1,
+        xs.len()
+    );
+    dispatch!(avx2::window_sums(xs, w, out), scalar::window_sums(xs, w, out))
+}
+
+/// Per-window PCA projection under one dispatch: for each of the first
+/// `count` length-`d` windows `x` of `series` (`d = means.len()`), appends
+/// `project_dot(row, x, means)` for every `d`-wide row of `components`, in
+/// row order — bit-identical to calling [`project_dot`] per window and row.
+/// The training-set projection of a retrain.
+///
+/// # Panics
+///
+/// Panics if `means` is empty, `components` is not a whole number of rows,
+/// or `series` holds fewer than `count` windows.
+#[inline]
+pub fn project_windows(
+    components: &[f64],
+    means: &[f64],
+    series: &[f64],
+    count: usize,
+    out: &mut Vec<f64>,
+) {
+    let d = means.len();
+    assert!(
+        d > 0 && components.len().is_multiple_of(d) && series.len() + 1 >= d + count,
+        "project_windows: {} component values, {count} windows of {d} over {} values",
+        components.len(),
+        series.len()
+    );
+    dispatch!(
+        avx2::project_windows(components, means, series, count, out),
+        scalar::project_windows(components, means, series, count, out)
+    )
+}
+
 /// Widens `f32` values to `f64` into a caller slice (exact conversion, so
 /// trivially bit-identical across dispatches).
 ///
@@ -438,6 +488,26 @@ mod scalar {
             i += 1;
         }
         acc
+    }
+
+    pub(super) fn window_sums(xs: &[f64], w: usize, out: &mut [f64]) {
+        for (o, window) in out.iter_mut().zip(xs.windows(w)) {
+            *o = sum(window);
+        }
+    }
+
+    pub(super) fn project_windows(
+        components: &[f64],
+        means: &[f64],
+        series: &[f64],
+        count: usize,
+        out: &mut Vec<f64>,
+    ) {
+        for x in series.windows(means.len()).take(count) {
+            for row in components.chunks_exact(means.len()) {
+                out.push(project_dot(row, x, means));
+            }
+        }
     }
 
     pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -659,6 +729,28 @@ mod avx2 {
             i += 1;
         }
         total
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn window_sums(xs: &[f64], w: usize, out: &mut [f64]) {
+        for (o, window) in out.iter_mut().zip(xs.windows(w)) {
+            *o = sum(window);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn project_windows(
+        components: &[f64],
+        means: &[f64],
+        series: &[f64],
+        count: usize,
+        out: &mut Vec<f64>,
+    ) {
+        for x in series.windows(means.len()).take(count) {
+            for row in components.chunks_exact(means.len()) {
+                out.push(project_dot(row, x, means));
+            }
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -969,6 +1061,49 @@ mod tests {
                         avx2::sqdist_scan(&query, &points, &mut out_v);
                         for i in 0..npoints {
                             assert_bits_eq(out_s[i], out_v[i], "sqdist_scan dim2/generic");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_kernels_match_their_per_window_forms() {
+        let mut g = Gen(0x5eed_4321_0000_0005);
+        for d in 1..=9usize {
+            for count in [0usize, 1, 3, 4, 5, 35] {
+                let series = g.vec(count + d - 1);
+                let means = g.vec(d);
+                let components = g.vec(d * (1 + count % 3));
+                let mut sums_s = vec![0.0; count];
+                scalar::window_sums(&series, d, &mut sums_s);
+                let mut proj_s = Vec::new();
+                scalar::project_windows(&components, &means, &series, count, &mut proj_s);
+                let mut want = Vec::new();
+                for (i, x) in series.windows(d).take(count).enumerate() {
+                    assert_bits_eq(sums_s[i], scalar::sum(x), "window_sums vs sum");
+                    for row in components.chunks_exact(d) {
+                        want.push(scalar::project_dot(row, x, &means));
+                    }
+                }
+                assert_eq!(proj_s.len(), want.len());
+                for (a, b) in proj_s.iter().zip(&want) {
+                    assert_bits_eq(*a, *b, "project_windows vs project_dot");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if have_avx2() {
+                    // SAFETY: guarded by have_avx2().
+                    unsafe {
+                        let mut sums_v = vec![0.0; count];
+                        avx2::window_sums(&series, d, &mut sums_v);
+                        let mut proj_v = Vec::new();
+                        avx2::project_windows(&components, &means, &series, count, &mut proj_v);
+                        for (a, b) in sums_s.iter().zip(&sums_v) {
+                            assert_bits_eq(*a, *b, "window_sums");
+                        }
+                        for (a, b) in proj_s.iter().zip(&proj_v) {
+                            assert_bits_eq(*a, *b, "project_windows");
                         }
                     }
                 }

@@ -251,13 +251,23 @@ impl Matrix {
 
     /// Per-column means of the matrix (length `cols`).
     pub fn column_means(&self) -> Vec<f64> {
-        let mut means = vec![0.0; self.cols];
-        for row in self.iter_rows() {
+        Self::means_of_rows(self.iter_rows(), self.cols)
+    }
+
+    /// Per-column means of `rows`, each of length `d`, without materialising
+    /// them as a matrix — e.g. the overlapping windows of a series.
+    /// [`Matrix::column_means`] is this over its own rows, so the two agree
+    /// by `to_bits` on the same rows.
+    pub fn means_of_rows<'a>(rows: impl Iterator<Item = &'a [f64]>, d: usize) -> Vec<f64> {
+        let mut means = vec![0.0; d];
+        let mut n = 0usize;
+        for row in rows {
             for (m, &x) in means.iter_mut().zip(row) {
                 *m += x;
             }
+            n += 1;
         }
-        let n = self.rows as f64;
+        let n = n as f64;
         for m in &mut means {
             *m /= n;
         }
@@ -281,42 +291,62 @@ impl Matrix {
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `means.len() != self.cols()`.
     pub fn covariance_about(&self, means: &[f64]) -> Result<Matrix> {
-        let n = self.rows;
-        let d = self.cols;
-        if means.len() != d {
+        if means.len() != self.cols {
             return Err(LinalgError::ShapeMismatch(format!(
-                "covariance_about: {} means for {d} columns",
-                means.len()
+                "covariance_about: {} means for {} columns",
+                means.len(),
+                self.cols
             )));
         }
+        Ok(Self::covariance_of_rows(self.iter_rows(), means))
+    }
+
+    /// Sample covariance of `rows` (each of length `means.len()`) about
+    /// `means`, without materialising them as a matrix.
+    /// [`Matrix::covariance_about`] is this over its own rows, so the two
+    /// agree by `to_bits` on the same rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `means` is empty or a row is shorter than it.
+    pub fn covariance_of_rows<'a>(rows: impl Iterator<Item = &'a [f64]>, means: &[f64]) -> Matrix {
+        let d = means.len();
+        // Centered observations, each deviation computed once rather than once
+        // per element pair it enters. Rows are padded with three zeros so a
+        // four-wide block fits at every column.
+        let stride = d + 3;
+        let mut centered = Vec::with_capacity(rows.size_hint().0 * stride);
+        for row in rows {
+            centered.extend(row[..d].iter().zip(means).map(|(&x, &m)| x - m));
+            centered.extend([0.0; 3]);
+        }
+        let n = centered.len() / stride;
         let mut cov = Matrix::zeros(d, d);
         if n < 2 {
-            return Ok(cov);
+            return cov;
         }
-        // Accumulates the upper triangle with plain elementwise updates.
-        // Each cov element receives exactly one `+= cᵢ · cⱼ` per row, so the
-        // result is independent of traversal order and bit-identical to the
-        // dispatched `kernels::axpy_centered` form — a direct loop beats the
-        // per-call dispatch overhead on the tiny `d ≤ 16` windows the PCA
-        // retrain path fits thousands of times a minute.
-        for row in self.iter_rows() {
-            for i in 0..d {
-                let ci = row[i] - means[i];
-                let out = &mut cov.data[i * d + i..(i + 1) * d];
-                for ((o, &rj), &mj) in out.iter_mut().zip(&row[i..]).zip(&means[i..]) {
-                    *o += ci * (rj - mj);
+        let norm = 1.0 / (n as f64 - 1.0);
+        // Element (i, j) of the upper triangle is the rows-in-order sum of
+        // `cᵢ · cⱼ` from 0.0, then one `1/(n-1)` scale — the textbook sum the
+        // tests pin. Four elements of a row accumulate side by side, so their
+        // independent addition chains overlap.
+        for i in 0..d {
+            for j in (i..d).step_by(4) {
+                let mut acc = [0.0f64; 4];
+                for c in centered.chunks_exact(stride) {
+                    let ci = c[i];
+                    for (a, &cj) in acc.iter_mut().zip(&c[j..j + 4]) {
+                        *a += ci * cj;
+                    }
+                }
+                for (l, &a) in acc.iter().enumerate().take(d - j) {
+                    let v = a * norm;
+                    cov[(i, j + l)] = v;
+                    cov[(j + l, i)] = v;
                 }
             }
         }
-        let norm = 1.0 / (n as f64 - 1.0);
-        for i in 0..d {
-            for j in i..d {
-                let v = cov[(i, j)] * norm;
-                cov[(i, j)] = v;
-                cov[(j, i)] = v;
-            }
-        }
-        Ok(cov)
+        cov
     }
 }
 

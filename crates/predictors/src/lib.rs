@@ -92,6 +92,22 @@ pub trait Predictor: Send + Sync {
     /// callers go through [`PredictorPool`], which checks once per step.
     fn predict(&self, history: &[f64]) -> f64;
 
+    /// Forecasts from every length-`m` window of `series` at once:
+    /// `out[i] = self.predict(&series[i..i + m])` for each `i < out.len()` —
+    /// the model-major labelling pass of the training phase. Overrides must
+    /// keep exactly `predict`'s per-window arithmetic, so the two agree by
+    /// `to_bits`; they exist to drop the per-window virtual call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `series.len() < out.len() + m - 1`, and wherever `predict`
+    /// would on a window of `m` points.
+    fn forecast_windows(&self, series: &[f64], m: usize, out: &mut [f64]) {
+        for (o, window) in each_window(series, m, out) {
+            *o = self.predict(window);
+        }
+    }
+
     /// Train-derived state as a flat `f64` vector, for serialization.
     ///
     /// Empty for the non-parametric models (their behaviour is fully
@@ -101,4 +117,26 @@ pub trait Predictor: Send + Sync {
     fn fitted_state(&self) -> Vec<f64> {
         Vec::new()
     }
+}
+
+/// Pairs each output slot with its length-`m` window of `series` (slot `i`
+/// with `series[i..i + m]`), checked to exist — the shared precondition of
+/// every [`Predictor::forecast_windows`].
+///
+/// # Panics
+///
+/// Panics if `m == 0` or `series` holds fewer than `out.len()` such windows.
+pub(crate) fn each_window<'a>(
+    series: &'a [f64],
+    m: usize,
+    out: &'a mut [f64],
+) -> impl Iterator<Item = (&'a mut f64, &'a [f64])> {
+    assert!(
+        m > 0 && series.len() + 1 >= m + out.len(),
+        "forecast_windows: {} windows of {m} need {} points, got {}",
+        out.len(),
+        out.len() + m - 1,
+        series.len()
+    );
+    out.iter_mut().zip(series.windows(m))
 }

@@ -161,6 +161,28 @@ impl Predictor for Ar {
         acc
     }
 
+    fn forecast_windows(&self, series: &[f64], m: usize, out: &mut [f64]) {
+        assert!(m >= self.order, "AR({}) fed windows of {m} points", self.order);
+        // Four windows advance side by side, each through `predict`'s own
+        // accumulation order, so their addition chains overlap.
+        let mut blocks = out.chunks_exact_mut(4);
+        let mut start = 0;
+        for block in &mut blocks {
+            let mut acc = [self.mean; 4];
+            for (i, &phi) in self.coefficients.iter().enumerate() {
+                let x = &series[start + m - 1 - i..start + m + 3 - i];
+                for (a, &x) in acc.iter_mut().zip(x) {
+                    *a += phi * (x - self.mean);
+                }
+            }
+            block.copy_from_slice(&acc);
+            start += 4;
+        }
+        for (o, window) in crate::each_window(&series[start..], m, blocks.into_remainder()) {
+            *o = self.predict(window);
+        }
+    }
+
     fn fitted_state(&self) -> Vec<f64> {
         // Layout: [mean, innovation_variance, degenerate, φ₁..φ_p].
         let mut out = Vec::with_capacity(3 + self.coefficients.len());

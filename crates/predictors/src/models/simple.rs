@@ -20,6 +20,12 @@ impl Predictor for Last {
     fn predict(&self, history: &[f64]) -> f64 {
         *history.last().expect("LAST requires at least one point")
     }
+
+    fn forecast_windows(&self, series: &[f64], m: usize, out: &mut [f64]) {
+        for (o, window) in crate::each_window(series, m, out) {
+            *o = window[m - 1];
+        }
+    }
 }
 
 /// The sliding-window average (paper Eq. 3): mean of the last `window` values.
@@ -64,6 +70,17 @@ impl Predictor for SwAvg {
         let start = history.len().saturating_sub(self.window);
         let tail = &history[start..];
         linalg::kernels::sum(tail) / tail.len() as f64
+    }
+
+    fn forecast_windows(&self, series: &[f64], m: usize, out: &mut [f64]) {
+        // Each window's tail is the last `min(m, window)` values: the
+        // windows of that length starting `start` values in.
+        let start = m.saturating_sub(self.window);
+        linalg::kernels::window_sums(&series[start..], m - start, out);
+        let len = (m - start) as f64;
+        for o in out.iter_mut() {
+            *o /= len;
+        }
     }
 }
 

@@ -234,6 +234,51 @@ impl PredictorPool {
         }
         best
     }
+
+    /// Labels every `(window, next value)` pair of `series` at once:
+    /// `labels[i] = best_id(&series[i..i + m], series[i + m])` for each
+    /// `i < series.len() - m`, under the same total order on absolute error
+    /// and the same first-minimum tie rule. Model-major: each member
+    /// forecasts every window through [`Predictor::forecast_windows`] before
+    /// the next member runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is shorter than the pool's
+    /// [`min_history`](Self::min_history).
+    pub fn best_ids(&self, series: &[f64], m: usize) -> Vec<usize> {
+        assert!(
+            m >= self.min_history(),
+            "pool needs {} points, got windows of {m}",
+            self.min_history()
+        );
+        let count = series.len().saturating_sub(m);
+        if count == 0 {
+            return Vec::new();
+        }
+        let targets = &series[m..];
+        let mut buffer = vec![0.0; 2 * count];
+        let (forecasts, best_err) = buffer.split_at_mut(count);
+        let mut labels = vec![0; count];
+        for (i, model) in self.models.iter().enumerate() {
+            model.forecast_windows(series, m, forecasts);
+            if i == 0 {
+                for ((best, &f), &actual) in best_err.iter_mut().zip(&*forecasts).zip(targets) {
+                    *best = (f - actual).abs();
+                }
+                continue;
+            }
+            for w in 0..count {
+                let err = (forecasts[w] - targets[w]).abs();
+                // Strict `Less` keeps the first minimum — `best_id`'s rule.
+                // Select rather than branch: which member wins is data noise.
+                let better = err.total_cmp(&best_err[w]) == std::cmp::Ordering::Less;
+                labels[w] = if better { i } else { labels[w] };
+                best_err[w] = if better { err } else { best_err[w] };
+            }
+        }
+        labels
+    }
 }
 
 impl std::fmt::Debug for PredictorPool {

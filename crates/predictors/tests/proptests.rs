@@ -155,3 +155,46 @@ fn unbounded_members_read_the_whole_slice() {
         assert_ne!(model.predict(&h).to_bits(), model.predict(tail).to_bits(), "{spec:?}");
     }
 }
+
+/// `forecast_windows` equals `predict` on every window by `to_bits` for every
+/// pool member (the LAST, AR and SW_AVG overrides and the default), at window
+/// sizes below, at and above each member's own window, and on series with
+/// NaN and infinite points.
+#[test]
+fn forecast_windows_match_per_window_predict_bitwise() {
+    let mut rng = Xoshiro256pp::seed_from_u64(409);
+    for case in 0..48 {
+        let order = 2 + rng.next_below(6) as usize;
+        let n = 4 * order + rng.next_below(60) as usize;
+        let mut series = random_vec(&mut rng, n, -5.0, 5.0);
+        if case % 8 == 7 {
+            series[n / 2] = f64::NAN;
+            series[n / 3] = f64::INFINITY;
+        }
+        let train: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let pool = PredictorPool::extended(&train, order).unwrap();
+        for m in [pool.min_history(), order + 1, 2 * order] {
+            let count = n - m;
+            let mut out = vec![0.0; count];
+            for id in pool.ids() {
+                let spec = pool.spec(id).clone();
+                let model = spec.build(&train).unwrap();
+                model.forecast_windows(&series, m, &mut out);
+                for (i, &f) in out.iter().enumerate() {
+                    let want = model.predict(&series[i..i + m]);
+                    assert!(
+                        f.to_bits() == want.to_bits() || (f.is_nan() && want.is_nan()),
+                        "{} m={m} window {i}: {f} vs {want}",
+                        model.name()
+                    );
+                }
+            }
+            // Model-major labels equal the per-window streaming argmin.
+            let labels = pool.best_ids(&series, m);
+            assert_eq!(labels.len(), count);
+            for (i, &label) in labels.iter().enumerate() {
+                assert_eq!(label, pool.best_id(&series[i..i + m], series[i + m]).0, "m={m} {i}");
+            }
+        }
+    }
+}

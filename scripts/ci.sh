@@ -30,8 +30,9 @@ echo "==> kernel dispatch parity (forced-scalar and forced-AVX2 runs)"
 # (DESIGN.md §13). Re-run the numeric crates with each mode forced; "avx2"
 # silently degrades to scalar on hosts without it, so both exports are safe
 # everywhere. linalg carries the to_bits parity proptests; learn pins the PCA
-# fit; larp + fleet prove the serving pipeline end-to-end under each kernel set.
-LARP_KERNELS=scalar cargo test -q -p linalg -p learn -p larp -p fleet
+# fit; predictors pins the model-major forecast_windows overrides; larp + fleet
+# prove the serving pipeline end-to-end under each kernel set.
+LARP_KERNELS=scalar cargo test -q -p linalg -p learn -p predictors -p larp -p fleet
 LARP_KERNELS=avx2 cargo test -q -p linalg
 
 if [[ "$QUICK" -eq 0 ]]; then
