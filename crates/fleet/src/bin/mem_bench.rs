@@ -8,7 +8,7 @@
 //! `--hot` working set is woken with fresh traffic. The printed JSON report
 //! carries the headline `bytes_per_stream` (accounted heap over all
 //! registered streams, hot and cold) plus the component-wise breakdown of
-//! one live stream's stack (history ring, model, interned PCA share, QA
+//! one live stream's stack (history ring, model, PCA basis, QA
 //! window, tracker, sanitizer mirror, slab/table overhead) and the process
 //! RSS from `/proc/self/statm` as the honesty cross-check.
 //! `results/BENCH_mem.json` commits this report; `scripts/ci.sh`
@@ -162,10 +162,9 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
          \"elapsed_sec\": {:.3},\n  \"bytes_per_stream\": {:.0},\n  \
          \"heap_total_bytes\": {},\n  \"resident_bytes\": {},\n  \
          \"per_live_stream\": {{\n    \"history\": {:.1},\n    \"norm\": {:.1},\n    \
-         \"model\": {:.1},\n    \"pca_shared\": {:.1},\n    \"qa\": {:.1},\n    \
+         \"model\": {:.1},\n    \"pca\": {:.1},\n    \"qa\": {:.1},\n    \
          \"tracker\": {:.1},\n    \"sanitizer\": {:.1}\n  }},\n  \
          \"table_bytes\": {},\n  \
-         \"pca\": {{\"handles\": {}, \"unique_bytes\": {}}},\n  \
          \"spill\": {{\"live_bytes\": {}, \"dead_bytes\": {}}}{}\n}}",
         report.live_streams,
         report.hibernated_streams,
@@ -176,13 +175,11 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
         per(s.history_bytes),
         per(s.norm_bytes),
         per(s.model_bytes),
-        report.pca_unique_bytes as f64 / report.live_streams.max(1) as f64,
+        per(s.pca_bytes),
         per(s.qa_bytes),
         per(s.tracker_bytes),
         per(s.sanitizer_bytes),
         report.table_bytes,
-        report.pca_handles,
-        report.pca_unique_bytes,
         report.spill_live_bytes,
         report.spill_dead_bytes,
         extra,

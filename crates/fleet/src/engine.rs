@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use larp::{GuardedLarp, HealthState, StreamMemReport};
+use larp::{GuardedLarp, HealthState, Scratch, StreamMemReport};
 use obs::{expo, EventKind, EventRing, Registry};
 use store::{BlobStore, RegisterTuning, StoreOptions, TraceStore, WalOptions, WalRecord};
 
@@ -37,9 +37,6 @@ struct EngineShared {
     /// then the spill store — every site follows it, so the pair cannot
     /// deadlock.
     spill: Option<Mutex<BlobStore>>,
-    /// Fleet-wide PCA basis interner: streams trained on identical windows
-    /// share one basis allocation (DESIGN.md §11).
-    interner: Arc<learn::PcaInterner>,
     /// Off-worker retrain pool; `None` retrains inline on the shard workers
     /// ([`FleetConfig::retrain_threads`] == 0).
     retrain: Option<RetrainPool>,
@@ -125,7 +122,6 @@ fn wake_guarded(shared: &EngineShared, id: StreamId, _tomb: &Tombstone) -> Optio
     match GuardedLarp::from_snapshot_bytes(&bytes) {
         Ok(mut guarded) => {
             guarded.attach_obs(shared.obs.larp.for_stream(id));
-            guarded.attach_interner(Arc::clone(&shared.interner));
             guarded.online_mut().set_deferred_retrain(shared.retrain.is_some());
             spill.lock().expect("spill store poisoned").delete(id);
             shared.obs.wakes.inc();
@@ -157,14 +153,8 @@ pub struct FleetMemReport {
     pub live_streams: usize,
     /// Streams spilled to the hibernation store (tombstone-only resident).
     pub hibernated_streams: usize,
-    /// Component-wise sum over every *live* stream's serving stack. Its
-    /// `pca_bytes` counts each handle's basis once per stream — use
-    /// [`FleetMemReport::pca_unique_bytes`] for the deduplicated footprint.
+    /// Component-wise sum over every *live* stream's serving stack.
     pub stream: StreamMemReport,
-    /// Deduplicated PCA basis bytes (interned bases counted once).
-    pub pca_unique_bytes: usize,
-    /// PCA basis handles across live streams (handles − unique = shared).
-    pub pca_handles: usize,
     /// Stream-table overhead: index buckets + both slabs + free lists.
     pub table_bytes: usize,
     /// Live bytes in the hibernation spill file (on disk, not resident).
@@ -176,12 +166,11 @@ pub struct FleetMemReport {
 }
 
 impl FleetMemReport {
-    /// Accounted heap bytes: per-stream components with the PCA dedup
-    /// applied, plus table overhead. Excludes queues, scratch arenas and
-    /// allocator slack — compare against [`FleetMemReport::resident_bytes`]
-    /// to see what the accounting misses.
+    /// Accounted heap bytes: per-stream components plus table overhead.
+    /// Excludes queues, scratch arenas and allocator slack — compare against
+    /// [`FleetMemReport::resident_bytes`] to see what the accounting misses.
     pub fn heap_total(&self) -> usize {
-        self.stream.total() - self.stream.pca_bytes + self.pca_unique_bytes + self.table_bytes
+        self.stream.total() + self.table_bytes
     }
 
     /// Accounted resident bytes per registered stream (live + hibernated).
@@ -371,7 +360,6 @@ impl FleetEngine {
             obs,
             durability,
             spill,
-            interner: Arc::new(learn::PcaInterner::new()),
             retrain,
         });
         let workers = (0..shared.config.shards)
@@ -381,12 +369,7 @@ impl FleetEngine {
                     .name(format!("fleet-shard-{i}"))
                     .spawn(move || {
                         let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(&s, id, tomb);
-                        s.shards[i].worker_loop(
-                            s.config.batch_drain,
-                            s.config.reuse_scratch,
-                            &wake,
-                            s.retrain.as_ref(),
-                        )
+                        s.shards[i].worker_loop(s.config.batch_drain, &wake, s.retrain.as_ref())
                     })
                     .map_err(|e| FleetError::Serving(format!("cannot spawn shard worker: {e}")))
             })
@@ -559,17 +542,18 @@ impl FleetEngine {
     fn replay_record(&self, rec: &WalRecord, summary: &mut RecoverySummary) {
         match rec {
             WalRecord::Samples(samples) => {
+                let mut scratch = Scratch::new();
+                let mut steps = Vec::new();
                 for s in samples {
                     summary.replayed_samples += 1;
                     let shard = &self.shared.shards[self.shard_for(s.stream)];
                     let mut table = shard.streams.lock().expect("shard stream table poisoned");
                     match table.get_live_mut(s.stream) {
-                        Some(slot) => slot.feed(&Job {
-                            stream: s.stream,
-                            minute: s.minute,
-                            value: s.value,
-                            seq: 0,
-                        }),
+                        Some(slot) => {
+                            let job =
+                                Job { stream: s.stream, minute: s.minute, value: s.value, seq: 0 };
+                            slot.feed_with(&job, &mut scratch, &mut steps);
+                        }
                         // Live workers drop unknown-stream samples too, so
                         // this reproduces the uninterrupted outcome; a
                         // *registered* stream can only be missing here
@@ -660,7 +644,6 @@ impl FleetEngine {
     fn insert_stream(&self, id: StreamId, config: &StreamConfig) -> Result<()> {
         let mut guarded = config.build()?;
         guarded.attach_obs(self.shared.obs.larp.for_stream(id));
-        guarded.attach_interner(Arc::clone(&self.shared.interner));
         guarded.online_mut().set_deferred_retrain(self.shared.retrain.is_some());
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
@@ -671,10 +654,9 @@ impl FleetEngine {
     }
 
     /// Inserts one deserialized stream (checkpoint restore / recovery),
-    /// re-attaching observability and the shared PCA interner.
+    /// re-attaching observability.
     fn insert_restored(&self, id: StreamId, mut guarded: GuardedLarp, next_minute: u64) {
         guarded.attach_obs(self.shared.obs.larp.for_stream(id));
-        guarded.attach_interner(Arc::clone(&self.shared.interner));
         guarded.online_mut().set_deferred_retrain(self.shared.retrain.is_some());
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
@@ -1337,11 +1319,10 @@ impl FleetEngine {
     }
 
     /// Fleet-wide memory accounting: what every stream's serving state costs
-    /// resident, with interned PCA bases deduplicated (DESIGN.md §11). Call
-    /// [`flush`](Self::flush) first for a settled view.
+    /// resident (DESIGN.md §11). Call [`flush`](Self::flush) first for a
+    /// settled view.
     pub fn mem_report(&self) -> FleetMemReport {
         let mut report = FleetMemReport::default();
-        let mut seen_bases = HashSet::new();
         for s in &self.shared.shards {
             let table = s.streams.lock().expect("shard stream table poisoned");
             report.live_streams += table.live_len();
@@ -1349,12 +1330,6 @@ impl FleetEngine {
             report.table_bytes += table.heap_bytes();
             for (_, slot) in table.iter_live() {
                 report.stream.accumulate(&slot.guarded.mem_report());
-                if let Some(pca) = slot.guarded.pca_shared() {
-                    if seen_bases.insert(Arc::as_ptr(pca) as usize) {
-                        report.pca_unique_bytes += pca.heap_bytes();
-                    }
-                    report.pca_handles += 1;
-                }
             }
         }
         if let Some(spill) = self.shared.spill.as_ref() {
@@ -1702,34 +1677,6 @@ mod tests {
         assert!(!engine.contains(2));
         // A generous horizon evicts nothing.
         assert!(engine.sweep_idle(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_allocating_path() {
-        // The reuse_scratch knob trades allocation for none — never results.
-        // Drive the same workload through both arms and compare every
-        // stream's serving outcome exactly.
-        let run = |reuse_scratch: bool| {
-            let engine = FleetEngine::new(FleetConfig {
-                shards: 2,
-                backpressure: BackpressurePolicy::Block,
-                reuse_scratch,
-                ..FleetConfig::default()
-            })
-            .unwrap();
-            for id in 0..6u64 {
-                engine.register(id).unwrap();
-            }
-            for m in 0..120u64 {
-                let batch: Vec<(StreamId, f64)> = (0..6)
-                    .map(|id| (id, 40.0 + ((m * 7 + id) as f64 * 0.23).sin() * 9.0))
-                    .collect();
-                engine.push_batch(&batch);
-            }
-            engine.flush();
-            (0..6).map(|id| engine.stream_info(id).unwrap()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {

@@ -165,3 +165,54 @@ fn restored_fleet_keeps_recording_into_its_own_registry() {
     assert!(steps > 0, "restored streams recorded no selection outcomes");
     validate_json(&restored.obs_json()).unwrap();
 }
+
+#[test]
+fn steady_serving_keeps_the_event_ring_quiet() {
+    // Events fire on transitions only (DESIGN.md §5): a member switch within
+    // the healthy rung and a successful retrain are counted in metrics, not
+    // traced, so a fleet retraining every few steps still leaves the ring to
+    // the rare events an operator reads it for.
+    const FLEET: u64 = 64;
+    const SAMPLES: u64 = 1000;
+    let engine = FleetEngine::new(FleetConfig {
+        backpressure: BackpressurePolicy::Block,
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    let mut signals: Vec<_> = (0..FLEET)
+        .map(|id| {
+            engine.register(id).unwrap();
+            vmsim::fleet_signal(2007, id)
+        })
+        .collect();
+    let mut push = |minutes: std::ops::Range<u64>| {
+        for minute in minutes {
+            let batch: Vec<(u64, f64)> = signals
+                .iter_mut()
+                .enumerate()
+                .map(|(id, signal)| (id as u64, signal.sample(minute)))
+                .collect();
+            engine.push_batch(&batch);
+        }
+        engine.flush();
+    };
+    let warmup = fleet::StreamConfig::default().train_size as u64;
+    push(0..warmup);
+    engine.checkpoint().expect("checkpoint");
+    let (events0, steps0) = (engine.events().recorded(), engine.health().steps);
+    push(warmup..SAMPLES);
+
+    let health = engine.health();
+    assert!(health.retrains > FLEET * 10, "the fleet must be retrain-heavy: {}", health.retrains);
+    let events = engine.events().recorded() - events0;
+    let steps = health.steps - steps0;
+    assert!(
+        events * 1000 <= 5 * steps,
+        "{events} events over {steps} steady steps ({:.1} per 1k)",
+        events as f64 * 1000.0 / steps as f64
+    );
+    assert!(
+        engine.events().recent().iter().any(|e| e.kind.name() == "checkpoint_save"),
+        "the checkpoint event was flushed out of the ring by steady serving"
+    );
+}

@@ -478,18 +478,6 @@ impl GuardedLarp {
         scratch.clean = clean;
     }
 
-    /// Attaches a shared PCA interner to the online layer (see
-    /// [`OnlineLarp::attach_interner`]).
-    pub fn attach_interner(&mut self, interner: std::sync::Arc<learn::PcaInterner>) {
-        self.online.attach_interner(interner);
-    }
-
-    /// The shared handle to the online layer's PCA basis, if any (see
-    /// [`OnlineLarp::pca_shared`]).
-    pub fn pca_shared(&self) -> Option<&std::sync::Arc<learn::Pca>> {
-        self.online.pca_shared()
-    }
-
     /// Measures the resident heap bytes of the whole guarded stack, by
     /// component (the sanitizer lands in
     /// [`crate::StreamMemReport::sanitizer_bytes`]).

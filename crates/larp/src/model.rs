@@ -1,7 +1,5 @@
 //! The trained LARPredictor: normaliser + pool + PCA + k-NN, bundled.
 
-use std::sync::Arc;
-
 use learn::{KnnClassifier, Pca};
 use predictors::{PredictorId, PredictorPool};
 use timeseries::ZScore;
@@ -77,11 +75,8 @@ pub struct TrainedLarp {
     pub(crate) config: LarpConfig,
     pub(crate) zscore: ZScore,
     pub(crate) pool: PredictorPool,
-    /// Reference-counted so byte-identical bases can be interned and shared
-    /// across streams trained on similar signals (see
-    /// [`learn::PcaInterner`]) — at fleet scale many streams carry the same
-    /// workload shape and need only one resident basis.
-    pub(crate) pca: Option<Arc<Pca>>,
+    /// Boxed so an absent basis costs one pointer in every stream slot.
+    pub(crate) pca: Option<Box<Pca>>,
     pub(crate) knn: KnnClassifier,
     pub(crate) train_len: usize,
 }
@@ -135,24 +130,8 @@ impl TrainedLarp {
         self.pca.as_deref()
     }
 
-    /// The shared handle to the PCA basis, for interning and for identity-
-    /// based memory accounting (a basis shared by many streams must be
-    /// counted once).
-    pub fn pca_shared(&self) -> Option<&Arc<Pca>> {
-        self.pca.as_ref()
-    }
-
-    /// Replaces the PCA basis with an interned shared handle (same bytes,
-    /// possibly an existing allocation).
-    pub(crate) fn intern_pca(&mut self, interner: &learn::PcaInterner) {
-        if let Some(p) = self.pca.take() {
-            self.pca = Some(interner.intern(p));
-        }
-    }
-
-    /// Heap bytes of the model, split as `(pool + knn + config, pca)`. The
-    /// PCA share is reported separately because interned bases are shared
-    /// across streams and must be deduplicated by the fleet-level accounting.
+    /// Heap bytes of the model, split as `(pool + knn + config, pca)` so
+    /// memory reports can show the basis as its own component.
     pub fn heap_bytes_split(&self) -> (usize, usize) {
         let own = self.pool.heap_bytes()
             + self.knn.heap_bytes()

@@ -1,11 +1,12 @@
 //! Registry-backed observability for the online serving stack.
 //!
-//! [`LarpObs`] bundles the metric handles and (optionally) the event ring
-//! one serving stack records into. It is label-free by design: every stream
-//! of a fleet holds clones of the *same* named counters, so fleet-wide
+//! [`LarpObs`] points at the metric cells and (optionally) the event ring one
+//! serving stack records into. It is label-free by design: every stream of a
+//! fleet shares the *same* named counters through one `Arc`, so fleet-wide
 //! rollups fall out of the registry with zero aggregation code, while
 //! [`LarpObs::for_stream`] tags the *events* with the stream id so traces
-//! stay attributable.
+//! stay attributable. A per-stream handle is the shared pointer, the stream
+//! id and the last serving rung: 32 bytes.
 //!
 //! Metric set (naming scheme in DESIGN.md §5):
 //!
@@ -25,11 +26,14 @@
 //! | `larp_retrain_install_us` | histogram | installing a fitted model, µs |
 //! | `larp_slow_retrains_total` | counter | fits over the slow threshold |
 //!
-//! Hot-path budget: one counter increment per step plus one `Cell`
-//! comparison; events fire only on *transitions* (the selector's choice or
-//! the serving rung changed), never per sample.
+//! Hot-path budget: one counter increment per step plus one atomic swap;
+//! events fire only on *transitions* (the serving rung changed, a member was
+//! benched or re-admitted, a retrain failed or ran slow), never per sample
+//! and never per successful retrain — `larp_retrains_total` and
+//! `larp_retrain_us` already count and time those.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Arc;
 
 use obs::{Counter, EventKind, EventRing, Histogram, Registry, ServingRung};
 
@@ -44,38 +48,29 @@ fn rung_of(health: HealthState) -> ServingRung {
     }
 }
 
-/// Packs a `(chosen, rung)` serving choice into a non-zero u64 so the
-/// previous choice fits in one atomic (0 = no step served yet). Layout:
-/// bit 63 set, bit 62 = chosen is Some, bits 60–61 = rung, bits 0–59 = the
-/// chosen pool index (pool sizes are single digits in practice).
-fn pack_choice(chosen: Option<u64>, rung: ServingRung) -> u64 {
-    let rung_bits = match rung {
-        ServingRung::Primary => 0u64,
-        ServingRung::Degraded => 1,
-        ServingRung::Persistence => 2,
-    };
-    let (flag, idx) = match chosen {
-        Some(i) => (1u64, i & ((1 << 60) - 1)),
-        None => (0, 0),
-    };
-    (1 << 63) | (flag << 62) | (rung_bits << 60) | idx
-}
-
-/// The rung encoded by [`pack_choice`].
-fn unpack_rung(packed: u64) -> ServingRung {
-    match (packed >> 60) & 0b11 {
-        0 => ServingRung::Primary,
-        1 => ServingRung::Degraded,
-        _ => ServingRung::Persistence,
+/// Non-zero code of a rung, so 0 can mean "no step served yet".
+fn rung_code(rung: ServingRung) -> u8 {
+    match rung {
+        ServingRung::Primary => 1,
+        ServingRung::Degraded => 2,
+        ServingRung::Persistence => 3,
     }
 }
 
-/// Metric handles (shared, label-free) plus per-stream event context for one
-/// serving stack. Attach with [`crate::OnlineLarp::attach_obs`] or
-/// [`crate::GuardedLarp::attach_obs`].
-#[derive(Debug)]
-pub struct LarpObs {
-    stream: Option<u64>,
+/// The rung encoded by [`rung_code`] (`None` for 0).
+fn rung_from_code(code: u8) -> Option<ServingRung> {
+    match code {
+        1 => Some(ServingRung::Primary),
+        2 => Some(ServingRung::Degraded),
+        3 => Some(ServingRung::Persistence),
+        _ => None,
+    }
+}
+
+/// The metric cells, threshold and event ring every stream of one registry
+/// shares.
+#[derive(Debug, Clone)]
+struct Cells {
     selections: Counter,
     degraded_steps: Counter,
     fallback_steps: Counter,
@@ -93,18 +88,26 @@ pub struct LarpObs {
     /// [`EventKind::SlowRetrain`] event and bumps `larp_slow_retrains_total`).
     slow_retrain_threshold_us: u64,
     events: Option<EventRing>,
-    /// Last `(chosen, rung)` served, packed via [`pack_choice`] (0 = none),
-    /// for transition-only event emission. Runtime-only: deliberately not
-    /// part of any snapshot.
-    last_choice: AtomicU64,
+}
+
+/// Shared metric cells plus per-stream event context for one serving stack.
+/// Attach with [`crate::OnlineLarp::attach_obs`] or
+/// [`crate::GuardedLarp::attach_obs`].
+#[derive(Debug)]
+pub struct LarpObs {
+    cells: Arc<Cells>,
+    stream: Option<u64>,
+    /// Last serving rung, as a [`rung_code`] (0 = none yet), for
+    /// transition-only event emission. Runtime-only: deliberately not part
+    /// of any snapshot.
+    last_rung: AtomicU8,
 }
 
 impl LarpObs {
     /// Registers (or re-uses — registration is idempotent) the `larp_*`
     /// metric set on `registry`.
     pub fn register(registry: &Registry) -> Self {
-        Self {
-            stream: None,
+        let cells = Cells {
             selections: registry.counter("larp_selections_total"),
             degraded_steps: registry.counter("larp_degraded_steps_total"),
             fallback_steps: registry.counter("larp_fallback_steps_total"),
@@ -120,8 +123,8 @@ impl LarpObs {
             slow_retrains: registry.counter("larp_slow_retrains_total"),
             slow_retrain_threshold_us: Self::DEFAULT_SLOW_RETRAIN_US,
             events: None,
-            last_choice: AtomicU64::new(0),
-        }
+        };
+        Self { cells: Arc::new(cells), stream: None, last_rung: AtomicU8::new(0) }
     }
 
     /// Default slow-retrain threshold: 100 ms of fit time, ~3000× the
@@ -131,7 +134,7 @@ impl LarpObs {
     /// Routes transition events into `ring` (metrics alone otherwise).
     #[must_use]
     pub fn with_events(mut self, ring: EventRing) -> Self {
-        self.events = Some(ring);
+        Arc::make_mut(&mut self.cells).events = Some(ring);
         self
     }
 
@@ -139,69 +142,50 @@ impl LarpObs {
     /// above it count as slow).
     #[must_use]
     pub fn with_slow_retrain_threshold_us(mut self, threshold_us: u64) -> Self {
-        self.slow_retrain_threshold_us = threshold_us;
+        Arc::make_mut(&mut self.cells).slow_retrain_threshold_us = threshold_us;
         self
     }
 
     /// A recorder sharing these metric cells whose events carry `id` —
     /// what a fleet attaches to each of its streams.
     pub fn for_stream(&self, id: u64) -> Self {
-        Self {
-            stream: Some(id),
-            events: self.events.clone(),
-            last_choice: AtomicU64::new(0),
-            selections: self.selections.clone(),
-            degraded_steps: self.degraded_steps.clone(),
-            fallback_steps: self.fallback_steps.clone(),
-            quarantines: self.quarantines.clone(),
-            quarantine_exits: self.quarantine_exits.clone(),
-            retrains: self.retrains.clone(),
-            retrain_failures: self.retrain_failures.clone(),
-            nonfinite: self.nonfinite.clone(),
-            sanitized: self.sanitized.clone(),
-            retrain_us: self.retrain_us.clone(),
-            retrain_queue_wait_us: self.retrain_queue_wait_us.clone(),
-            retrain_install_us: self.retrain_install_us.clone(),
-            slow_retrains: self.slow_retrains.clone(),
-            slow_retrain_threshold_us: self.slow_retrain_threshold_us,
-        }
+        Self { cells: Arc::clone(&self.cells), stream: Some(id), last_rung: AtomicU8::new(0) }
     }
 
     fn emit(&self, kind: EventKind) {
-        if let Some(ring) = &self.events {
+        if let Some(ring) = &self.cells.events {
             ring.push(self.stream, kind);
         }
     }
 
-    /// Records one served step; emits events only when the selection or the
-    /// serving rung changed since the previous step.
+    /// Records one served step. Events fire only when the serving rung
+    /// changes (or on the first served step): a `DegradationTransition`
+    /// from the old rung, then the `SelectorDecision` that opened the new
+    /// one. A member switch within a rung is silent.
     pub(crate) fn record_step(&self, chosen: Option<u64>, health: HealthState) {
-        let rung = rung_of(health);
+        let c = &self.cells;
         match health {
-            HealthState::Healthy => self.selections.inc(),
-            HealthState::Degraded => self.degraded_steps.inc(),
-            HealthState::Fallback => self.fallback_steps.inc(),
+            HealthState::Healthy => c.selections.inc(),
+            HealthState::Degraded => c.degraded_steps.inc(),
+            HealthState::Fallback => c.fallback_steps.inc(),
         }
-        let now = pack_choice(chosen, rung);
-        let before = self.last_choice.swap(now, Ordering::Relaxed);
-        if before != now {
-            if before != 0 {
-                let prev_rung = unpack_rung(before);
-                if prev_rung != rung {
-                    self.emit(EventKind::DegradationTransition { from: prev_rung, to: rung });
-                }
+        let rung = rung_of(health);
+        let before = self.last_rung.swap(rung_code(rung), Ordering::Relaxed);
+        if before != rung_code(rung) {
+            if let Some(from) = rung_from_code(before) {
+                self.emit(EventKind::DegradationTransition { from, to: rung });
             }
             self.emit(EventKind::SelectorDecision { predictor: chosen, rung });
         }
     }
 
     pub(crate) fn record_quarantine(&self, predictor: usize, until_step: u64) {
-        self.quarantines.inc();
+        self.cells.quarantines.inc();
         self.emit(EventKind::QuarantineEnter { predictor: predictor as u64, until_step });
     }
 
     pub(crate) fn record_quarantine_exit(&self, predictor: usize) {
-        self.quarantine_exits.inc();
+        self.cells.quarantine_exits.inc();
         self.emit(EventKind::QuarantineExit { predictor: predictor as u64 });
     }
 
@@ -209,33 +193,30 @@ impl LarpObs {
     /// armed/enqueued before a worker started fitting) and the fit itself are
     /// tracked as separate histograms so a saturated retrain pool is
     /// distinguishable from genuinely slow fits; the install (on the serving
-    /// thread, after the fit) gets a third.
+    /// thread, after the fit) gets a third. Only a slow fit emits an event.
     pub(crate) fn record_retrain_success(&self, fit_us: u64, queue_wait_us: u64, install_us: u64) {
-        self.retrains.inc();
-        self.retrain_us.record(fit_us as f64);
-        self.retrain_queue_wait_us.record(queue_wait_us as f64);
-        self.retrain_install_us.record(install_us as f64);
-        self.emit(EventKind::RetrainSucceeded { duration_us: fit_us });
-        if fit_us > self.slow_retrain_threshold_us {
-            self.slow_retrains.inc();
-            self.emit(EventKind::SlowRetrain {
-                fit_us,
-                threshold_us: self.slow_retrain_threshold_us,
-            });
+        let c = &self.cells;
+        c.retrains.inc();
+        c.retrain_us.record(fit_us as f64);
+        c.retrain_queue_wait_us.record(queue_wait_us as f64);
+        c.retrain_install_us.record(install_us as f64);
+        if fit_us > c.slow_retrain_threshold_us {
+            c.slow_retrains.inc();
+            self.emit(EventKind::SlowRetrain { fit_us, threshold_us: c.slow_retrain_threshold_us });
         }
     }
 
     pub(crate) fn record_retrain_failure(&self, consecutive: u64) {
-        self.retrain_failures.inc();
+        self.cells.retrain_failures.inc();
         self.emit(EventKind::RetrainFailed { consecutive });
     }
 
     pub(crate) fn record_nonfinite(&self) {
-        self.nonfinite.inc();
+        self.cells.nonfinite.inc();
     }
 
     pub(crate) fn record_sanitized(&self, repairs: u64) {
-        self.sanitized.add(repairs);
+        self.cells.sanitized.add(repairs);
     }
 }
 
@@ -252,8 +233,8 @@ mod tests {
         a.record_step(Some(0), HealthState::Healthy);
         b.record_step(Some(1), HealthState::Healthy);
         b.record_step(None, HealthState::Fallback);
-        assert_eq!(a.selections.get(), 2, "streams share the fleet-wide cell");
-        assert_eq!(b.fallback_steps.get(), 1);
+        assert_eq!(a.cells.selections.get(), 2, "streams share the fleet-wide cell");
+        assert_eq!(b.cells.fallback_steps.get(), 1);
     }
 
     #[test]
@@ -275,12 +256,59 @@ mod tests {
     }
 
     #[test]
+    fn member_flips_within_the_primary_rung_are_silent() {
+        let registry = Registry::new();
+        let ring = EventRing::new(64);
+        let o = LarpObs::register(&registry).with_events(ring.clone()).for_stream(3);
+        o.record_step(Some(0), HealthState::Healthy);
+        for chosen in [1, 2, 0, 4, 1] {
+            o.record_step(Some(chosen), HealthState::Healthy);
+        }
+        assert_eq!(ring.recorded(), 1, "only the first decision is traced");
+        assert_eq!(o.cells.selections.get(), 6);
+    }
+
+    #[test]
+    fn successful_retrains_are_counted_not_traced() {
+        let registry = Registry::new();
+        let ring = EventRing::new(64);
+        let o = LarpObs::register(&registry)
+            .with_events(ring.clone())
+            .with_slow_retrain_threshold_us(100)
+            .for_stream(1);
+        o.record_retrain_success(5, 0, 1);
+        assert_eq!(ring.recorded(), 0);
+        assert_eq!(o.cells.retrains.get(), 1);
+        o.record_retrain_success(500, 0, 1);
+        assert_eq!(ring.recorded(), 1);
+        assert_eq!(ring.recent()[0].kind.name(), "slow_retrain");
+        assert_eq!(o.cells.slow_retrains.get(), 1);
+    }
+
+    #[test]
+    fn configured_recorders_keep_sharing_the_registry_cells() {
+        let registry = Registry::new();
+        let base = LarpObs::register(&registry);
+        let held = base.for_stream(1);
+        let routed = base.with_events(EventRing::new(4)).for_stream(2);
+        held.record_nonfinite();
+        routed.record_nonfinite();
+        assert_eq!(registry.counter("larp_nonfinite_forecasts_total").get(), 2);
+    }
+
+    #[test]
+    fn per_stream_handle_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<LarpObs>(), 32);
+        assert_eq!(std::mem::size_of::<Option<LarpObs>>(), 32);
+    }
+
+    #[test]
     fn registration_is_reentrant() {
         let registry = Registry::new();
         let a = LarpObs::register(&registry);
         let b = LarpObs::register(&registry);
         a.record_nonfinite();
         b.record_nonfinite();
-        assert_eq!(a.nonfinite.get(), 2);
+        assert_eq!(a.cells.nonfinite.get(), 2);
     }
 }

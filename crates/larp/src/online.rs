@@ -25,10 +25,8 @@
 //! * **Health surface** — every [`OnlineStep`] reports a [`HealthState`] and
 //!   the loop keeps [`OnlineCounters`] for observability.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use learn::PcaInterner;
 use predictors::PredictorId;
 use timeseries::RollingMoments;
 
@@ -211,11 +209,6 @@ pub struct OnlineLarp {
     /// Registry-backed recorder; runtime-only (never snapshotted, restored
     /// instances start unattached).
     pub(crate) obs: Option<LarpObs>,
-    /// Fleet-shared PCA deduplication table; runtime-only (never snapshotted,
-    /// restored instances start unattached). When present, every (re)trained
-    /// model's basis is interned so byte-identical bases across streams share
-    /// one allocation.
-    pub(crate) interner: Option<Arc<PcaInterner>>,
 }
 
 /// Resident heap bytes of one stream's predictor state, by component — the
@@ -230,9 +223,7 @@ pub struct StreamMemReport {
     /// Trained model minus the PCA basis: predictor pool state, k-NN point
     /// store + labels + tree nodes, spec lists.
     pub model_bytes: usize,
-    /// PCA basis. Reported separately because interned bases are shared
-    /// across streams: a fleet-level rollup must deduplicate this component
-    /// by basis identity (see [`OnlineLarp::pca_shared`]) or it overcounts.
+    /// PCA basis (mean, components, eigenvalues).
     pub pca_bytes: usize,
     /// Quality-assuror error window.
     pub qa_bytes: usize,
@@ -345,7 +336,6 @@ impl OnlineLarp {
             deferred_external: false,
             generation: 0,
             obs: None,
-            interner: None,
         })
     }
 
@@ -360,24 +350,6 @@ impl OnlineLarp {
     /// The attached recorder, if any.
     pub fn obs(&self) -> Option<&LarpObs> {
         self.obs.as_ref()
-    }
-
-    /// Attaches a shared PCA interner: the current model's basis (if any) and
-    /// every basis produced by future retrains are deduplicated through it.
-    /// Runtime state — snapshots neither carry nor require one, and interning
-    /// never changes forecasts (substitution requires bitwise equality).
-    pub fn attach_interner(&mut self, interner: Arc<PcaInterner>) {
-        if let Some(model) = &mut self.model {
-            model.intern_pca(&interner);
-        }
-        self.interner = Some(interner);
-    }
-
-    /// The shared handle to the current model's PCA basis, if any — the
-    /// identity a fleet-level memory rollup deduplicates
-    /// [`StreamMemReport::pca_bytes`] by.
-    pub fn pca_shared(&self) -> Option<&Arc<learn::Pca>> {
-        self.model.as_ref().and_then(TrainedLarp::pca_shared)
     }
 
     /// Measures the resident heap bytes of this stream's state, by component.
@@ -631,13 +603,10 @@ impl OnlineLarp {
             return false;
         }
         match outcome.model {
-            Some(mut model) => {
-                // The install itself (interning, tracker, mirror rebuild) is
-                // timed apart from the fit: it runs on the serving thread.
+            Some(model) => {
+                // The install itself (tracker, mirror rebuild) is timed apart
+                // from the fit: it runs on the serving thread.
                 let started = self.obs.is_some().then(Instant::now);
-                if let Some(interner) = &self.interner {
-                    model.intern_pca(interner);
-                }
                 let pool_len = model.pool().len();
                 self.predictor_health = vec![PredictorHealth::default(); pool_len];
                 self.tracker = PoolErrorTracker::new(pool_len, self.config.window.max(8)).ok();

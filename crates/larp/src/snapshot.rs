@@ -537,12 +537,7 @@ fn get_trained(r: &mut Reader) -> Result<TrainedLarp> {
                 .map_err(|e| err(format!("PCA projection: {e}")))?;
             let eigenvalues = r.f64_seq()?;
             let total_variance = r.f64()?;
-            Some(std::sync::Arc::new(Pca::from_parts(
-                mean,
-                components,
-                eigenvalues,
-                total_variance,
-            )?))
+            Some(Box::new(Pca::from_parts(mean, components, eigenvalues, total_variance)?))
         }
         t => return Err(err(format!("unknown PCA tag {t}"))),
     };
@@ -736,7 +731,6 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
         deferred_external: false,
         generation: 0,
         obs: None,
-        interner: None,
     };
     // Derived runtime state (normalised mirror, rolling moments) is not part
     // of the wire format; rebuild it from the restored fields.

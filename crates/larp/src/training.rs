@@ -14,8 +14,6 @@
 //! [`TrainedLarp::train`] and [`RetrainRequest::fit`](crate::RetrainRequest::fit)
 //! both delegate here.
 
-use std::sync::Arc;
-
 use learn::{KnnClassifier, LearnError, Pca};
 use linalg::{Matrix, SymEigen};
 use predictors::{PredictorId, PredictorPool};
@@ -76,7 +74,7 @@ fn fit_normalized(
                 count,
                 &mut features,
             );
-            (Some(Arc::new(p)), features, dim)
+            (Some(Box::new(p)), features, dim)
         }
     };
     let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 
 pub mod eval;
-pub mod intern;
 pub mod kdtree;
 pub mod knn;
 pub mod pca;
@@ -26,7 +25,6 @@ pub mod scaler;
 pub mod split;
 pub mod vote;
 
-pub use intern::PcaInterner;
 pub use kdtree::KdTree;
 pub use knn::{KnnBackend, KnnClassifier};
 pub use pca::Pca;

@@ -129,7 +129,6 @@ fn event_json(e: &Event) -> String {
         | EventKind::BackpressureReject { shard, count } => {
             format!("\"shard\": {shard}, \"count\": {count}")
         }
-        EventKind::RetrainSucceeded { duration_us } => format!("\"duration_us\": {duration_us}"),
         EventKind::RetrainFailed { consecutive } => format!("\"consecutive\": {consecutive}"),
         EventKind::SlowRetrain { fit_us, threshold_us } => {
             format!("\"fit_us\": {fit_us}, \"threshold_us\": {threshold_us}")

@@ -1,8 +1,8 @@
 //! Structured event tracing: a bounded, drop-counting ring buffer.
 //!
 //! Metrics answer "how many / how fast"; the event ring answers "what
-//! happened, in what order": which predictor the selector switched to, when
-//! a stream entered quarantine, which shard rejected samples. Events are
+//! happened, in what order": which serving rung a stream moved to, when a
+//! stream entered quarantine, which shard rejected samples. Events are
 //! discrete and comparatively rare (transitions, not per-sample ticks), so a
 //! mutex-guarded ring is cheap; when producers outrun the buffer the oldest
 //! events are evicted and counted, never silently lost.
@@ -37,8 +37,9 @@ impl ServingRung {
 /// free after construction and the vocabulary stays crate-independent.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// The serving ladder's choice changed: which pool member now serves
-    /// (`None` = persistence) and on which rung.
+    /// A stream started serving on a new rung of the ladder: the rung and
+    /// the pool member that opened it (`None` = persistence). Switches
+    /// between members within one rung are not traced.
     SelectorDecision {
         /// Chosen pool member index.
         predictor: Option<u64>,
@@ -78,11 +79,6 @@ pub enum EventKind {
         shard: u64,
         /// Samples refused in this enqueue call.
         count: u64,
-    },
-    /// A (re)training succeeded.
-    RetrainSucceeded {
-        /// Wall-clock training duration in microseconds.
-        duration_us: u64,
     },
     /// A (re)training failed; the stale model keeps serving under backoff.
     RetrainFailed {
@@ -213,7 +209,6 @@ impl EventKind {
             EventKind::DegradationTransition { .. } => "degradation_transition",
             EventKind::BackpressureDrop { .. } => "backpressure_drop",
             EventKind::BackpressureReject { .. } => "backpressure_reject",
-            EventKind::RetrainSucceeded { .. } => "retrain_succeeded",
             EventKind::RetrainFailed { .. } => "retrain_failed",
             EventKind::SlowRetrain { .. } => "slow_retrain",
             EventKind::CheckpointSave { .. } => "checkpoint_save",

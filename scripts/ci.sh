@@ -101,15 +101,16 @@ if [[ "$QUICK" -eq 0 ]]; then
   fi
   echo "mem_bench: $MEM_BPS bytes/stream (baseline $MEM_BASE, ceiling $MEM_CEIL)"
   # The normalised mirror and the raw history ring are sized by their readers
-  # (DESIGN.md §7). Their share of the fleet-wide figure is too small for the
-  # 120% ceiling to see either grow back to full history length, so their
-  # per-live-stream capacities are gated exactly: both are deterministic
+  # (DESIGN.md §7), and every live stream owns its PCA basis (DESIGN.md §11).
+  # Their share of the fleet-wide figure is too small for the 120% ceiling to
+  # see a ring grow back to full history length or a basis grow, so their
+  # per-live-stream bytes are gated exactly: all three are deterministic
   # functions of the config.
-  for ring in norm history; do
-    RING_NOW="$(grep -o "\"$ring\": [0-9.]*" <<<"$MEM_JSON" | grep -o '[0-9.]*$')"
-    RING_BASE="$(grep -o "\"$ring\": [0-9.]*" results/BENCH_mem.json | grep -o '[0-9.]*$')"
-    if ! awk -v now="$RING_NOW" -v base="$RING_BASE" 'BEGIN { exit (now <= base) ? 0 : 1 }'; then
-      echo "memory regression: $ring ring ${RING_NOW}B/live stream > committed ${RING_BASE}B"
+  for part in norm history pca; do
+    PART_NOW="$(grep -o "\"$part\": [0-9.]*" <<<"$MEM_JSON" | grep -o '[0-9.]*$')"
+    PART_BASE="$(grep -o "\"$part\": [0-9.]*" results/BENCH_mem.json | grep -o '[0-9.]*$')"
+    if ! awk -v now="$PART_NOW" -v base="$PART_BASE" 'BEGIN { exit (now <= base) ? 0 : 1 }'; then
+      echo "memory regression: $part ${PART_NOW}B/live stream > committed ${PART_BASE}B"
       exit 1
     fi
   done
